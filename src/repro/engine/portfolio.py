@@ -9,11 +9,14 @@ into a win: each job costs roughly the *minimum* over the portfolio instead
 of a fixed engine's worst case.
 
 Before any engine runs, every uncached job goes through the static lint
-pass (:mod:`repro.lint`): it costs no state-space construction, and when
-one of its certifying pre-filter rules decides the job's property the
+stage (:func:`repro.lint.decide`): it costs no state-space construction
+and runs only the lint rules that can settle a verdict — the error gate,
+the certifying pre-filter tier and, after a certificate fired, the
+consistency-risk gate.  When a certificate decides the job's property the
 verdict is returned immediately — with the machine-checkable certificate
-attached — and the pool never sees the job.  (The cache is consulted
-first: a disk read is cheaper still than linting.)  Jobs with
+attached — and the pool never sees the job.  Advisory diagnostics are left
+to ``repro-stg lint``.  (The cache is consulted first: a disk read is
+cheaper still than linting.)  Jobs with
 ``use_facts=True`` then warm the structural :class:`~repro.analysis.FactBase`
 (once per STG hash, persisted in the result cache) so the racing ilp
 engines load it instead of recomputing.
@@ -69,7 +72,6 @@ def run_jobs(
     cache: Optional[ResultCache] = None,
     events: Optional[ev.EventLog] = None,
     lint: bool = True,
-    lint_size_budget: int = 160,
 ) -> List[JobResult]:
     """Run every job through cache + lint + portfolio racing; results in
     job order.
@@ -82,8 +84,7 @@ def run_jobs(
     (holds/violated) wins, the remaining engine tasks are cancelled, and the
     result is cached.  Unsound outcomes (timeout, budget exhaustion, engine
     error, worker crash) only fail the job once every engine of its
-    portfolio has failed.  ``lint=False`` disables stage zero;
-    ``lint_size_budget`` caps the net size for its polyhedral rules.
+    portfolio has failed.  ``lint=False`` disables stage zero.
     """
     events = events or pool.events
     if cache is not None:
@@ -98,7 +99,7 @@ def run_jobs(
         ]
     results: Dict[int, JobResult] = {}
     failures: Dict[int, List[JobResult]] = {}
-    lint_reports: Dict[str, Optional[tuple]] = {}
+    lint_decisions: Dict[str, Optional[tuple]] = {}
     analyzed: Dict[str, bool] = {}
 
     for index, job in enumerate(jobs):
@@ -113,7 +114,7 @@ def run_jobs(
                 continue
             events.emit(ev.CACHE_MISS, job_id=job.job_id)
         if lint:
-            settled = _lint_stage(job, events, lint_reports, lint_size_budget)
+            settled = _lint_stage(job, events, lint_decisions)
             if settled is not None:
                 results[index] = settled
                 continue
@@ -208,43 +209,47 @@ def _analysis_stage(
 def _lint_stage(
     job: VerificationJob,
     events: ev.EventLog,
-    reports: Dict[str, Optional[tuple]],
-    size_budget: int,
+    decided: Dict[str, Optional[tuple]],
 ) -> Optional[JobResult]:
-    """Stage zero: lint the job's STG; a JobResult if lint decided it.
+    """Stage zero: a JobResult if a lint certificate decides the job.
 
-    The lint report is computed once per distinct STG content hash and
-    reused for the other properties of the same STG.  Lint failures are
-    reported but never fail the job — the engines still run.  Lint-decided
-    results are *not* cached: recomputing them is as cheap as reading the
-    cache, and the certificate stays tied to the exact STG.
+    :func:`repro.lint.decide` runs once per distinct STG content hash and
+    its decisions are reused for the other properties of the same STG.
+    Lint failures are reported but never fail the job — the engines still
+    run.  Lint-decided results are *not* cached: recomputing them is as
+    cheap as reading the cache, and the certificate stays tied to the exact
+    STG.
     """
-    if job.stg_hash not in reports:
-        from repro.lint import run_lint
+    if job.stg_hash not in decided:
+        from repro.lint import decide
 
         started = time.perf_counter()
         try:
-            report = run_lint(job.stg, size_budget=size_budget)
+            decisions = decide(job.stg)
         except Exception as exc:  # lint bug: degrade to the engines
             events.emit(
                 ev.LINT_PASS,
                 job_id=job.job_id,
                 detail=f"lint crashed ({type(exc).__name__}: {exc})",
             )
-            reports[job.stg_hash] = None
+            decided[job.stg_hash] = None
             return None
-        reports[job.stg_hash] = (report, time.perf_counter() - started)
+        decided[job.stg_hash] = (decisions, time.perf_counter() - started)
         events.emit(
             ev.LINT_PASS,
             job_id=job.job_id,
-            elapsed=reports[job.stg_hash][1],
-            detail=report.summary(),
+            elapsed=decided[job.stg_hash][1],
+            detail=", ".join(
+                f"{prop}={'holds' if d.holds else 'violated'}"
+                for prop, d in sorted(decisions.items())
+            )
+            or "undecided",
         )
-    cached = reports[job.stg_hash]
+    cached = decided[job.stg_hash]
     if cached is None:  # earlier crash for this STG
         return None
-    report, elapsed = cached
-    decision = report.decisions().get(job.property)
+    decisions, elapsed = cached
+    decision = decisions.get(job.property)
     if decision is None:
         return None
     diagnostic = decision.diagnostic
@@ -267,10 +272,7 @@ def _lint_stage(
         elapsed=elapsed,
         source=SOURCE_LINT,
         witness=diagnostic.message,
-        stats={
-            "lint_rule": diagnostic.rule_id,
-            "diagnostics": len(report.diagnostics),
-        },
+        stats={"lint_rule": diagnostic.rule_id},
         certificate=diagnostic.certificate,
     )
 

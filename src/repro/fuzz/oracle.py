@@ -16,6 +16,9 @@ Checkable cases then run:
   verdicts and witnesses everywhere; exact ``SearchStats`` parity on the
   workers axis for fully consumed searches — a found conflict cancels
   shards mid-walk, so node counts are only pinned when the property holds);
+* **lint**: the engine's stage zero (:func:`repro.lint.decide`) against
+  the full ``run_lint`` report's decisions, against the ground truth, and
+  through an independent certificate replay;
 * **metamorphic**: verdict invariance under element reordering and signal
   renaming, canonical-hash stability, write/parse round-trips, and witness
   replay through the net's firing rule.
@@ -43,6 +46,7 @@ from repro.exceptions import (
     UnboundedNetError,
 )
 from repro.fuzz.generate import FuzzCase, derive_rng, renamed_copy, shuffled_copy
+from repro.lint import Decision, decide, run_lint, verify_certificate
 from repro.petri.reachability import explore
 from repro.stg.hashing import canonical_stg_hash
 from repro.stg.nextstate import enabled_outputs
@@ -90,7 +94,7 @@ class Divergence:
     """One broken expectation, with a dedup signature stable across cases."""
 
     case_id: str
-    oracle: str      # "differential" | "axis" | "metamorphic" | "crash"
+    oracle: str      # "differential" | "lint" | "axis" | "metamorphic" | "crash"
     subject: str     # e.g. "sat-vs-sg:csc", "workers:usc", "roundtrip"
     detail: str      # case-specific explanation
     signature: str   # (oracle, subject, coarse cause) — the corpus dedup key
@@ -218,6 +222,8 @@ def run_oracles(case: FuzzCase, config: Optional[OracleConfig] = None) -> CaseOu
 
         truth = {"usc": graph.has_usc(), "csc": graph.has_csc()}
         _differential_oracle(case, config, outcome, truth)
+        if config.properties:
+            _lint_oracle(case, outcome, truth)
         _axis_oracles(case, config, outcome)
         _metamorphic_oracles(case, config, outcome, graph, truth)
 
@@ -295,6 +301,62 @@ def _differential_oracle(
                         f"{'holds' if truth[prop] else 'violated'}",
                     )
                 )
+
+
+def _decision_fingerprint(
+    decisions: Dict[str, Decision]
+) -> Dict[str, Tuple[bool, str, Any]]:
+    return {
+        prop: (d.holds, d.diagnostic.rule_id, d.diagnostic.certificate)
+        for prop, d in decisions.items()
+    }
+
+
+def _lint_oracle(
+    case: FuzzCase, outcome: CaseOutcome, truth: Dict[str, bool]
+) -> None:
+    """Stage zero three ways: ``decide`` must equal the full report's
+    decisions, agree with the ground truth, and replay its certificates."""
+    outcome.oracle_runs += 1
+    try:
+        decisions = decide(case.stg)
+        full = run_lint(case.stg).decisions()
+    except Exception as exc:
+        outcome.divergences.append(_crash(case.case_id, "lint", exc))
+        return
+    if _decision_fingerprint(decisions) != _decision_fingerprint(full):
+        outcome.divergences.append(
+            _mismatch(
+                case.case_id,
+                "lint",
+                "decide-vs-run_lint",
+                f"decide settles {sorted(decisions)}, run_lint settles "
+                f"{sorted(full)} (or by another rule or certificate)",
+            )
+        )
+    for prop, decision in sorted(decisions.items()):
+        rule_id = decision.diagnostic.rule_id
+        if decision.holds != truth[prop]:
+            outcome.divergences.append(
+                _mismatch(
+                    case.case_id,
+                    "lint",
+                    f"{rule_id}-vs-sg:{prop}",
+                    f"{rule_id} says {prop} "
+                    f"{'holds' if decision.holds else 'violated'}, state "
+                    f"graph says {'holds' if truth[prop] else 'violated'}",
+                )
+            )
+        certificate = decision.diagnostic.certificate
+        if certificate is None or not verify_certificate(case.stg, certificate):
+            outcome.divergences.append(
+                _mismatch(
+                    case.case_id,
+                    "lint",
+                    f"{rule_id}-certificate:{prop}",
+                    "the attached certificate does not replay",
+                )
+            )
 
 
 def _axis_oracles(

@@ -12,9 +12,13 @@ any state space:
    engine (:mod:`repro.analysis`) — autoconcurrency left unrefuted, dead
    transitions from unmarked siphons, siphons without marked traps.
 
-Entry point: :func:`run_lint`.  The verification engine runs it as stage
-zero of every portfolio job (see :mod:`repro.engine.portfolio`); the CLI
-exposes it as ``repro-stg lint``.
+Entry points: :func:`run_lint` builds the full report, which the CLI
+exposes as ``repro-stg lint``.  :func:`decide` returns the same certified
+decisions as ``run_lint(stg).decisions()`` but runs only the rules that can
+change them — the error-severity rules, the pre-filter tier and, once a
+certificate fired, the consistency-risk rules; the verification engine
+runs it as stage zero of every portfolio job (see
+:mod:`repro.engine.portfolio`).
 """
 
 from repro.lint.certificates import (
@@ -43,6 +47,7 @@ from repro.lint.registry import (
     LintRule,
     RuleContext,
     all_rules,
+    decide,
     rule,
     run_lint,
     select_rules,
@@ -69,6 +74,7 @@ __all__ = [
     "all_rules",
     "build_affine_certificate",
     "build_lp_certificate",
+    "decide",
     "render_json",
     "render_text",
     "report_to_dict",

@@ -7,6 +7,10 @@ objects.  Registration order is execution order, which matters for the
 certifying pre-filter tier: the cheap exact-kernel certificate runs before
 the LP relaxation, and a rule can consult ``context.decided`` to skip work
 a predecessor already settled.
+
+Two drivers share the rule loop and the pre-filter gate: :func:`run_lint`
+produces the full report, and :func:`decide` runs only the rules that can
+change the report's certified decisions (the engine's stage zero).
 """
 
 from __future__ import annotations
@@ -21,15 +25,18 @@ from typing import (
     Iterator,
     List,
     Optional,
-    Tuple,
 )
 
 import numpy as np
 
 from repro.lint.diagnostics import (
+    _SEVERITY_RANK,
+    Decision,
     Diagnostic,
     LintReport,
     SEVERITY_ERROR,
+    TIER_ANALYSIS,
+    TIER_PREFILTER,
     TIERS,
 )
 from repro.stg.sourcemap import KIND_PLACE, KIND_SIGNAL, KIND_TRANSITION, SourceSpan
@@ -37,6 +44,10 @@ from repro.stg.stg import STG
 
 if TYPE_CHECKING:
     from repro.analysis import FactBase
+
+
+#: Default net size (places + transitions) up to which the LP-backed rules run.
+SIZE_BUDGET = 160
 
 
 class RuleContext:
@@ -47,7 +58,7 @@ class RuleContext:
     exceed it must stay silent rather than stall the pipeline.
     """
 
-    def __init__(self, stg: STG, size_budget: int = 160):
+    def __init__(self, stg: STG, size_budget: int = SIZE_BUDGET):
         self.stg = stg
         self.net = stg.net
         self.size_budget = size_budget
@@ -166,7 +177,27 @@ class LintRule:
     fn: RuleFn
 
     def run(self, context: RuleContext) -> List[Diagnostic]:
-        return list(self.fn(context))
+        """The rule's diagnostics; raises ``ValueError`` if the rule breaks
+        its registration.
+
+        The gates of :func:`run_lint` and :func:`decide` read rule metadata,
+        so a diagnostic may be no more severe than the registered severity,
+        and only pre-filter rules may decide a property.
+        """
+        diagnostics = list(self.fn(context))
+        for diagnostic in diagnostics:
+            if _SEVERITY_RANK[diagnostic.severity] < _SEVERITY_RANK[self.severity]:
+                raise ValueError(
+                    f"rule {self.rule_id} registered as {self.severity} "
+                    f"emitted a {diagnostic.severity} diagnostic"
+                )
+            if diagnostic.decides and self.tier != TIER_PREFILTER:
+                raise ValueError(
+                    f"rule {self.rule_id} of tier {self.tier} decided "
+                    f"{sorted(diagnostic.decides)}; only {TIER_PREFILTER} "
+                    "rules may"
+                )
+        return diagnostics
 
 
 #: Registry in registration (= execution) order.
@@ -234,7 +265,7 @@ def run_lint(
     stg: STG,
     rules: Optional[Iterable[str]] = None,
     prefilter: bool = True,
-    size_budget: int = 160,
+    size_budget: int = SIZE_BUDGET,
 ) -> LintReport:
     """Run the (selected) rule set over ``stg`` and return the report.
 
@@ -249,38 +280,78 @@ def run_lint(
     when errors fired: the facts engine presumes a well-formed net.
     """
     from repro import obs
-    from repro.lint.diagnostics import TIER_ANALYSIS, TIER_PREFILTER
 
     with obs.trace("lint.run"):
         selected = select_rules(list(rules) if rules is not None else None)
         context = RuleContext(stg, size_budget=size_budget)
         report = LintReport(stg_name=stg.name)
-
-        staged: List[Tuple[LintRule, str]] = [(r, r.tier) for r in selected]
-        for lint_rule, tier in staged:
-            if tier in (TIER_PREFILTER, TIER_ANALYSIS):
-                continue
-            report.rules_run.append(lint_rule.rule_id)
-            report.extend(lint_rule.run(context))
-
+        _run_rules(context, report, [r for r in selected if _hygiene(r)])
         if prefilter and _prefilter_allowed(report):
-            for lint_rule, tier in staged:
-                if tier != TIER_PREFILTER:
-                    continue
-                report.rules_run.append(lint_rule.rule_id)
-                diagnostics = lint_rule.run(context)
-                report.extend(diagnostics)
-                for diagnostic in diagnostics:
-                    for prop, holds in diagnostic.decides.items():
-                        context.decided.setdefault(prop, holds)
-
+            _run_rules(
+                context, report, [r for r in selected if r.tier == TIER_PREFILTER]
+            )
         if not report.errors:
-            for lint_rule, tier in staged:
-                if tier != TIER_ANALYSIS:
-                    continue
-                report.rules_run.append(lint_rule.rule_id)
-                report.extend(lint_rule.run(context))
+            _run_rules(
+                context, report, [r for r in selected if r.tier == TIER_ANALYSIS]
+            )
         return report
+
+
+def decide(stg: STG) -> Dict[str, Decision]:
+    """The property verdicts ``run_lint(stg).decisions()`` certifies, for
+    a fraction of the work.
+
+    Only the rules that can change those decisions run, cheapest gate
+    first: the error-severity hygiene rules (an error closes the gate), the
+    pre-filter tier in registration order, and — only once a certificate
+    has fired — the consistency-risk rules, whose firing also closes the
+    gate.  Any closed gate returns ``{}``.  The analysis facts, the
+    advisory rules and the report are never built; advisory diagnostics
+    come only from :func:`run_lint`.
+    """
+    from repro import obs
+
+    with obs.trace("lint.decide"):
+        rules = all_rules()
+        context = RuleContext(stg)
+        report = LintReport(stg_name=stg.name)
+        _run_rules(
+            context,
+            report,
+            [r for r in rules if _hygiene(r) and r.severity == SEVERITY_ERROR],
+        )
+        if not _prefilter_allowed(report):
+            return {}
+        _run_rules(context, report, [r for r in rules if r.tier == TIER_PREFILTER])
+        if not context.decided:
+            return {}
+        _run_rules(
+            context,
+            report,
+            [r for r in rules if r.rule_id in _CONSISTENCY_RISK_RULES],
+        )
+        if not _prefilter_allowed(report):
+            return {}
+        return report.decisions()
+
+
+def _hygiene(lint_rule: LintRule) -> bool:
+    """Rules that run before the pre-filter gate (well-formedness, semantics)."""
+    return lint_rule.tier not in (TIER_PREFILTER, TIER_ANALYSIS)
+
+
+def _run_rules(
+    context: RuleContext, report: LintReport, rules: List[LintRule]
+) -> None:
+    """Run ``rules`` in order, recording each certified property verdict in
+    ``context.decided`` so later rules can skip settled work."""
+    for lint_rule in rules:
+        report.rules_run.append(lint_rule.rule_id)
+        diagnostics = lint_rule.run(context)
+        report.extend(diagnostics)
+        for diagnostic in diagnostics:
+            for prop, holds in diagnostic.decides.items():
+                context.decided.setdefault(prop, holds)
 
 
 #: Warnings that undermine the pre-filter soundness argument (consistency).

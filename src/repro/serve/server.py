@@ -612,6 +612,10 @@ class ServeHTTPServer(ThreadingHTTPServer):
 
 class _Handler(BaseHTTPRequestHandler):
     protocol_version = "HTTP/1.1"
+    # TCP_NODELAY: ``_send`` writes headers and body separately, and without
+    # it every later response on a kept-alive connection waits ~40 ms for
+    # the client's delayed ACK (Nagle)
+    disable_nagle_algorithm = True
     server: ServeHTTPServer
 
     # -- plumbing --------------------------------------------------------------

@@ -19,7 +19,8 @@ from repro.engine.jobs import (
 from repro.engine.pool import WorkerPool
 from repro.engine.portfolio import run_jobs
 from repro.lint import verify_certificate
-from repro.models import toggle_bank, token_ring
+from repro.models import TABLE1_BENCHMARKS, toggle_bank, token_ring
+from tests.conftest import TABLE1_VERDICTS
 
 
 def run_inline(jobs, cache=None, lint=True):
@@ -48,7 +49,7 @@ class TestLintShortCircuit:
             assert result.engine == "lint"
             assert result.source == SOURCE_LINT
             assert result.sound
-            assert result.stats["lint_rule"] == "C301"
+            assert result.stats == {"lint_rule": "C301"}
             assert verify_certificate(toggle_bank(3), result.certificate)
 
     def test_lint_report_shared_across_properties(self):
@@ -58,6 +59,23 @@ class TestLintShortCircuit:
         assert log.stats.lint_passes == 1
         assert log.stats.lint_decided == 2
         assert log.stats.wins_by_engine.get("lint") == 2
+
+    def test_default_jobs_never_build_the_factbase(self, monkeypatch):
+        """Stage zero runs no A4xx rule, so default-flag jobs (no facts, no
+        refinement) never reach the structural facts engine."""
+        import repro.analysis
+
+        calls = []
+        monkeypatch.setattr(
+            repro.analysis, "analyze", lambda *a, **k: calls.append(a)
+        )
+        jobs = build_jobs(sorted(TABLE1_BENCHMARKS), properties=("usc", "csc"))
+        results, log = run_inline(jobs)
+        assert calls == []
+        assert len(log.of_kind(ev.LINT_PASS)) == len(TABLE1_BENCHMARKS)
+        for job, result in zip(jobs, results):
+            expected = TABLE1_VERDICTS[job.name][job.property]
+            assert result.holds is expected, (job.name, job.property)
 
     def test_undecided_model_still_runs_the_engines(self):
         stg = token_ring(3)

@@ -1,7 +1,10 @@
-"""The oracle battery: guards, differential, axes, metamorphic, parser."""
+"""The oracle battery: guards, differential, lint, axes, metamorphic, parser."""
+
+from dataclasses import replace
 
 import pytest
 
+import repro.fuzz.oracle as oracle_module
 from repro.engine.jobs import ENGINES, register_engine
 from repro.fuzz.generate import FuzzCase, generate_case
 from repro.fuzz.oracle import (
@@ -11,7 +14,8 @@ from repro.fuzz.oracle import (
     OracleConfig,
     run_oracles,
 )
-from repro.models import vme_bus
+from repro.lint import Decision, decide
+from repro.models import toggle_bank, vme_bus
 from repro.stg.stg import STG, SignalEdge
 
 
@@ -129,6 +133,56 @@ class TestDifferential:
         config = OracleConfig(engines=(name,), parser_probes=0)
         outcome = run_oracles(_case_for(vme_bus()), config)
         assert outcome.divergences == []
+
+
+class TestLintOracle:
+    """Stage zero against run_lint, the ground truth and certificate replay."""
+
+    CONFIG = OracleConfig(engines=(), parser_probes=0)
+
+    @staticmethod
+    def certified_case():
+        # C301 decides toggle banks; index 1 samples no config axis
+        return _case_for(toggle_bank(3), index=1)
+
+    @pytest.fixture
+    def doctor(self, monkeypatch):
+        """Rewrite every decision the oracle's ``decide`` returns."""
+
+        def install(rewrite):
+            monkeypatch.setattr(
+                oracle_module,
+                "decide",
+                lambda stg: {p: rewrite(d) for p, d in decide(stg).items()},
+            )
+
+        return install
+
+    def test_certified_case_is_clean(self):
+        lean = run_oracles(
+            self.certified_case(),
+            OracleConfig(engines=(), properties=(), parser_probes=0),
+        )
+        outcome = run_oracles(self.certified_case(), self.CONFIG)
+        assert outcome.divergences == []
+        assert outcome.oracle_runs == lean.oracle_runs + 1
+
+    def test_wrong_verdict_is_caught(self, doctor):
+        doctor(lambda d: Decision(d.property, not d.holds, d.diagnostic))
+        outcome = run_oracles(self.certified_case(), self.CONFIG)
+        subjects = {d.subject for d in outcome.divergences}
+        assert {"decide-vs-run_lint", "C301-vs-sg:usc", "C301-vs-sg:csc"} <= subjects
+
+    def test_unreplayable_certificate_is_caught(self, doctor):
+        def tamper(d):
+            bad = dict(d.diagnostic.certificate, matrix=[["7/3"]])
+            return Decision(d.property, d.holds, replace(d.diagnostic, certificate=bad))
+
+        doctor(tamper)
+        outcome = run_oracles(self.certified_case(), self.CONFIG)
+        subjects = {d.subject for d in outcome.divergences}
+        assert "C301-certificate:usc" in subjects
+        assert all(d.oracle == "lint" for d in outcome.divergences)
 
 
 class TestAxes:

@@ -103,4 +103,6 @@ class TestTraceOut:
         snapshot = obs.read_jsonl(trace)
         names = {span["name"] for span in snapshot["spans"]}
         assert "engine.job_done" in names  # point events interleaved
-        assert "lint.run" in names
+        # stage zero decides without building the full lint report
+        assert "lint.decide" in names
+        assert "lint.run" not in names

@@ -6,6 +6,7 @@ does over a subprocess boundary is first proven here where failures are
 debuggable.
 """
 
+import http.client
 import json
 import threading
 import time
@@ -85,6 +86,24 @@ class TestRoutes:
         with pytest.raises(ClientError) as excinfo:
             client.job("j000000-00000000")
         assert excinfo.value.status == 404
+
+    def test_keep_alive_responses_do_not_stall(self, server):
+        """Headers and body leave in two writes; without TCP_NODELAY each
+        response after the first on a kept-alive connection waits ~40 ms
+        for the client's delayed ACK."""
+        host, port = server.server_address[0], server.server_address[1]
+        connection = http.client.HTTPConnection(host, port, timeout=10.0)
+        try:
+            started = time.perf_counter()
+            for _ in range(10):
+                connection.request("GET", "/v1/healthz")
+                response = connection.getresponse()
+                response.read()
+                assert response.status == 200
+            elapsed = time.perf_counter() - started
+        finally:
+            connection.close()
+        assert elapsed < 0.25, f"10 keep-alive GETs took {elapsed:.3f}s"
 
     def test_unknown_route_is_404(self, client, server):
         for method, path in (("GET", "/nope"), ("POST", "/v1/nope")):

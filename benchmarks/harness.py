@@ -63,53 +63,23 @@ DEFAULT_THRESHOLD = 0.20
 class Case:
     """One benchmark case: verify ``prop`` on ``family(size)``.
 
-    ``workers > 0`` runs the frontier-split parallel search of
-    :mod:`repro.core.parallel` and suffixes the case id with ``/w=N`` so
-    sequential and parallel timings coexist in one report.  ``facts=True``
-    turns on the :mod:`repro.analysis` assistance (``use_facts=``,
-    suffix ``/f=1``) — verdicts are identical by contract, so the axis
-    isolates the facts engine's overhead/payoff.  ``refine=True`` turns on
-    the :mod:`repro.refine` CEGAR prescreen (``use_refinement=``, suffix
-    ``/r=1``), same byte-identical-verdict contract.
+    ``refine=True`` turns on the :mod:`repro.refine` CEGAR prescreen
+    (``use_refinement=``, suffix ``/r=1``) — verdicts are identical by
+    contract, so the axis isolates refinement's overhead/payoff.
     """
 
-    def __init__(
-        self,
-        family: str,
-        size: int,
-        prop: str,
-        workers: int = 0,
-        facts: bool = False,
-        refine: bool = False,
-    ):
+    def __init__(self, family: str, size: int, prop: str, refine: bool = False):
         self.family = family
         self.size = size
         self.prop = prop
-        self.workers = workers
-        self.facts = facts
         self.refine = refine
-        suffix = f"/w={workers}" if workers > 0 else ""
-        suffix += "/f=1" if facts else ""
-        suffix += "/r=1" if refine else ""
+        suffix = "/r=1" if refine else ""
         self.case_id = f"{family}/n={size}/{prop}{suffix}"
 
-    def with_workers(self, workers: int) -> "Case":
-        return Case(
-            self.family, self.size, self.prop, workers, self.facts, self.refine
-        )
-
-    def with_facts(self, facts: bool) -> "Case":
-        return Case(
-            self.family, self.size, self.prop, self.workers, facts, self.refine
-        )
-
     def with_refine(self, refine: bool) -> "Case":
-        return Case(
-            self.family, self.size, self.prop, self.workers, self.facts, refine
-        )
+        return Case(self.family, self.size, self.prop, refine)
 
     def build(self):
-        from repro.models.counterflow import counterflow_pipeline
         from repro.models.ring import lazy_ring, token_ring
         from repro.models.scalable import muller_pipeline, parallel_forks
 
@@ -118,7 +88,6 @@ class Case:
             "parallel-forks": parallel_forks,
             "token-ring": token_ring,
             "vme-chain": lazy_ring,
-            "counterflow": counterflow_pipeline,
         }[self.family]
         return ctor(self.size)
 
@@ -132,11 +101,7 @@ class Case:
         prefix = unfold(stg)
         check = check_usc if self.prop == "usc" else check_csc
         return check(
-            prefix,
-            workers=self.workers,
-            use_facts=self.facts,
-            use_refinement=self.refine,
-            cert_cache=cert_cache,
+            prefix, use_refinement=self.refine, cert_cache=cert_cache
         ).holds
 
 
@@ -152,8 +117,6 @@ SUITE: List[Case] = [
     Case("token-ring", 6, "usc"),
     Case("vme-chain", 2, "csc"),
     Case("vme-chain", 3, "csc"),
-    Case("counterflow", 3, "csc"),
-    Case("counterflow", 4, "csc"),
 ]
 
 #: The CI suite: the small size of each family only.
@@ -162,7 +125,6 @@ QUICK_SUITE: List[Case] = [
     Case("parallel-forks", 2, "csc"),
     Case("token-ring", 4, "usc"),
     Case("vme-chain", 2, "csc"),
-    Case("counterflow", 3, "csc"),
 ]
 
 
@@ -198,9 +160,9 @@ def measure_case(case: Case, warmup: int, repeat: int) -> Dict[str, object]:
 
     def reset_facts() -> None:
         # the FactBase is memoized per content hash; drop it so every
-        # sample pays (and the /f=1 and /r=1 axes therefore show) the
-        # full analysis cost, not a warm-cache read
-        if case.facts or case.refine:
+        # sample pays (and the /r=1 axis therefore shows) the full
+        # analysis cost, not a warm-cache read
+        if case.refine:
             from repro.analysis import clear_memo
 
             clear_memo()
@@ -237,8 +199,6 @@ def measure_case(case: Case, warmup: int, repeat: int) -> Dict[str, object]:
         "family": case.family,
         "size": case.size,
         "property": case.prop,
-        "workers": case.workers,
-        "facts": case.facts,
         "refine": case.refine,
         "holds": holds,
         "repeats": repeat,
@@ -380,7 +340,6 @@ def measure_serve_case(
         "family": case.family,
         "size": case.size,
         "property": case.prop,
-        "workers": 0,
         "clients": clients,
         "holds": all(holds_seen),
         "repeats": total_requests,
@@ -400,35 +359,22 @@ def run_suite(
     warmup: int = 1,
     repeat: int = 5,
     families: Optional[Sequence[str]] = None,
-    workers: Sequence[int] = (0,),
     serve_clients: Sequence[int] = (),
-    facts: Sequence[int] = (0,),
     refine: Sequence[int] = (0,),
 ) -> Dict[str, object]:
     """Run the suite and return the full schema-versioned report dict.
 
-    ``workers`` is the worker-count axis: each case is measured once per
-    entry (0 = sequential), so e.g. ``(0, 2)`` records the speedup pair.
     ``serve_clients`` is the concurrency axis of the HTTP serving scenario:
     each quick-suite case is additionally pushed through a live
     ``repro.serve`` instance once per client count (e.g. ``(1, 4, 16)``).
-    ``facts`` is the :mod:`repro.analysis` axis: ``(0, 1)`` measures every
-    case both without and with ``use_facts`` assistance.  ``refine`` is the
-    :mod:`repro.refine` axis, same convention with ``use_refinement``.
+    ``refine`` is the :mod:`repro.refine` axis: ``(0, 1)`` measures every
+    case both without and with ``use_refinement``.
     """
     suite = QUICK_SUITE if quick else SUITE
     if families:
         suite = [case for case in suite if case.family in families]
-    axis = list(dict.fromkeys(workers)) or [0]
-    facts_axis = list(dict.fromkeys(facts)) or [0]
     refine_axis = list(dict.fromkeys(refine)) or [0]
-    timed = [
-        case.with_workers(w).with_facts(bool(f)).with_refine(bool(r))
-        for case in suite
-        for w in axis
-        for f in facts_axis
-        for r in refine_axis
-    ]
+    timed = [case.with_refine(bool(r)) for case in suite for r in refine_axis]
     results = []
     for case in timed:
         started = time.perf_counter()
@@ -471,8 +417,6 @@ _RESULT_FIELDS = {
     "size": int,
     "property": str,
     "holds": bool,
-    # "workers" is optional (reports predating the axis omit it) and
-    # checked separately below.
     "repeats": int,
     "median_s": (int, float),
     "min_s": (int, float),
@@ -514,23 +458,11 @@ def validate_report(data: object) -> None:
                     f"bench result field {field!r} has wrong type "
                     f"{type(record[field]).__name__}"
                 )
-        if "workers" in record and (
-            not isinstance(record["workers"], int)
-            or isinstance(record["workers"], bool)
-            or record["workers"] < 0
-        ):
+        # "refine" is optional (reports predating the axis omit it)
+        if "refine" in record and not isinstance(record["refine"], bool):
             raise ValueError(
-                f"bench result {record['id']!r} has invalid workers field"
+                f"bench result {record['id']!r} has invalid refine field"
             )
-        # "facts"/"refine" are optional (reports predating the axes omit them)
-        for axis_field in ("facts", "refine"):
-            if axis_field in record and not isinstance(
-                record[axis_field], bool
-            ):
-                raise ValueError(
-                    f"bench result {record['id']!r} has invalid "
-                    f"{axis_field} field"
-                )
         # /r=1 records carry the refinement counter probe (optional too)
         if "refine_counters" in record and not isinstance(
             record["refine_counters"], dict
@@ -637,9 +569,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
         warmup=args.warmup,
         repeat=args.repeat,
         families=args.families,
-        workers=args.workers or [0],
         serve_clients=args.serve_clients or [],
-        facts=args.facts or [0],
         refine=args.refine or [0],
     )
     validate_report(report)
@@ -703,14 +633,6 @@ def build_parser() -> argparse.ArgumentParser:
             help="restrict to these model families",
         )
         p.add_argument(
-            "--workers",
-            nargs="*",
-            type=int,
-            metavar="N",
-            help="worker-count axis: measure each case once per value "
-            "(default: 0 = sequential only; e.g. --workers 0 2)",
-        )
-        p.add_argument(
             "--serve-clients",
             nargs="*",
             type=int,
@@ -718,15 +640,6 @@ def build_parser() -> argparse.ArgumentParser:
             help="also run the HTTP serving scenario over the quick-suite "
             "cases, once per concurrent-client count (e.g. "
             "--serve-clients 1 4 16; default: skipped)",
-        )
-        p.add_argument(
-            "--facts",
-            nargs="*",
-            type=int,
-            choices=(0, 1),
-            metavar="0|1",
-            help="analysis-facts axis: measure each case once per value "
-            "(--facts 0 1 records the with/without pair; default: 0)",
         )
         p.add_argument(
             "--refine",

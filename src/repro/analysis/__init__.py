@@ -9,11 +9,11 @@ justification replayed by the independent :func:`verify_fact` — the same
 no-trust contract as :mod:`repro.lint.certificates`.
 
 Consumers: the ``A4xx`` lint tier (:mod:`repro.lint.rules_analysis`), the
-``use_facts=`` search path of :mod:`repro.core.verifier`, and the
-``repro-stg analyze`` CLI subcommand.
+``repro-stg analyze`` CLI subcommand, the trap/siphon cut separation of
+:mod:`repro.refine`, and the dynamic-conflict-freeness licence of the
+verifier's refinement prescreen (:mod:`repro.core.verifier`).
 """
 
-from repro.analysis.cliques import conflict_clique_capacities
 from repro.analysis.cores import ConflictCore, extract_core
 from repro.analysis.engine import (
     AnalysisOptions,
@@ -61,7 +61,6 @@ __all__ = [
     "FactBase",
     "analyze",
     "clear_memo",
-    "conflict_clique_capacities",
     "extract_core",
     "is_siphon",
     "is_trap",

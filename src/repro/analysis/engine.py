@@ -3,9 +3,9 @@
 :func:`analyze` computes the whole-net structural facts (relations, traps,
 siphons, trigger/lock structure) exactly once per STG content hash — an
 in-process memo keyed by :meth:`repro.stg.stg.STG.content_hash` makes the
-repeated calls from lint rules, the verifier's ``use_facts`` path and the
-CLI free; an optional :class:`~repro.engine.cache.ResultCache` round-trips
-the serialized facts across processes.  Everything is deterministic:
+repeated calls from lint rules, refinement and the CLI free; an optional
+:class:`~repro.engine.cache.ResultCache` round-trips the serialized facts
+across processes.  Everything is deterministic:
 deterministic invariant bases (``petri.analysis._integer_kernel``),
 index-ordered enumeration, sorted outputs.
 

@@ -36,6 +36,7 @@ from __future__ import annotations
 import argparse
 import logging
 import sys
+from contextlib import contextmanager
 from typing import List, Optional
 
 from repro.exceptions import ReproError, SolverLimitError
@@ -61,11 +62,13 @@ def _configure_logging(verbosity: int) -> None:
     logging.getLogger("repro").setLevel(level)
 
 
-def _with_trace_out(args: argparse.Namespace, fn):
-    """Run ``fn`` under the tracer and dump a JSONL trace if requested."""
-    trace_out = getattr(args, "trace_out", None)
-    if not trace_out:
-        return fn()
+@contextmanager
+def _traced():
+    """Enable and reset the process-wide tracer for one command.
+
+    If the tracer was off before, it is disabled *and* reset on exit, so a
+    command's spans and counters never outlive it in the default tracer.
+    """
     from repro import obs
 
     tracer = obs.get_tracer()
@@ -73,12 +76,29 @@ def _with_trace_out(args: argparse.Namespace, fn):
     tracer.enable()
     tracer.reset()
     try:
-        return fn()
+        yield tracer
     finally:
-        records = obs.write_jsonl(tracer, trace_out)
-        print(f"trace: {records} records written to {trace_out}", file=sys.stderr)
         if not was_enabled:
             tracer.disable()
+            tracer.reset()
+
+
+def _with_trace_out(args: argparse.Namespace, fn):
+    """Run ``fn`` under the tracer and dump a JSONL trace if requested."""
+    trace_out = getattr(args, "trace_out", None)
+    if not trace_out:
+        return fn()
+    from repro import obs
+
+    with _traced() as tracer:
+        try:
+            return fn()
+        finally:
+            records = obs.write_jsonl(tracer, trace_out)
+            print(
+                f"trace: {records} records written to {trace_out}",
+                file=sys.stderr,
+            )
 
 
 def _cmd_check(args: argparse.Namespace) -> int:
@@ -160,9 +180,7 @@ def _check_property(stg, prop: str, args: argparse.Namespace) -> bool:
         if args.portfolio:
             holds = _check_portfolio(stg, prop, args)
         else:
-            holds = _check_normalcy(
-                stg, args.method, args.node_budget, args.workers
-            )
+            holds = _check_normalcy(stg, args.method, args.node_budget)
         print(f"normalcy: {'OK' if holds else 'VIOLATED'}")
         return holds
     if prop in ("usc", "csc"):
@@ -171,7 +189,6 @@ def _check_property(stg, prop: str, args: argparse.Namespace) -> bool:
         else:
             holds = _check_coding(
                 stg, prop, args.method, args.verbose, args.node_budget,
-                args.workers, use_facts=getattr(args, "facts", False),
                 use_refinement=getattr(args, "refine", False),
             )
         print(f"{prop.upper()}: {'OK' if holds else 'CONFLICT'}")
@@ -190,8 +207,6 @@ def _check_portfolio(stg, prop: str, args: argparse.Namespace) -> bool:
         engines=engines,
         timeout=args.timeout,
         node_budget=args.node_budget,
-        workers=getattr(args, "workers", 0),
-        use_facts=getattr(args, "facts", False),
         use_refinement=getattr(args, "refine", False),
     )
     with WorkerPool(max_workers=len(engines)) as pool:
@@ -214,16 +229,13 @@ def _check_coding(
     method: str,
     verbose: bool,
     node_budget: Optional[int] = None,
-    workers: int = 0,
-    use_facts: bool = False,
     use_refinement: bool = False,
 ) -> bool:
     if method == "ilp":
         from repro.core import check_csc, check_usc
 
         report = (check_usc if prop == "usc" else check_csc)(
-            stg, node_budget=node_budget, workers=workers, use_facts=use_facts,
-            use_refinement=use_refinement,
+            stg, node_budget=node_budget, use_refinement=use_refinement
         )
         if verbose and report.witness is not None:
             print(f"  witness: {report.witness.describe()}")
@@ -268,15 +280,11 @@ def _check_coding(
     raise ReproError(f"unknown method {method!r}")
 
 
-def _check_normalcy(
-    stg, method: str, node_budget: Optional[int] = None, workers: int = 0
-) -> bool:
+def _check_normalcy(stg, method: str, node_budget: Optional[int] = None) -> bool:
     if method in ("ilp",):
         from repro.core import check_normalcy
 
-        return check_normalcy(
-            stg, node_budget=node_budget, workers=workers
-        ).normal
+        return check_normalcy(stg, node_budget=node_budget).normal
     from repro.stg.normalcy import check_normalcy_state_graph
 
     return check_normalcy_state_graph(stg).normal
@@ -290,11 +298,7 @@ def _cmd_profile(args: argparse.Namespace) -> int:
     from repro.engine.batch import resolve_target
     from repro.utils.tables import format_table
 
-    tracer = obs.get_tracer()
-    was_enabled = tracer.enabled
-    tracer.enable()
-    tracer.reset()
-    try:
+    with _traced() as tracer:
         with tracer.span("parse.target"):
             name, stg = resolve_target(args.file)
         properties = args.properties or ["usc", "csc"]
@@ -310,9 +314,6 @@ def _cmd_profile(args: argparse.Namespace) -> int:
                 f"trace: {records} records written to {args.trace_out}",
                 file=sys.stderr,
             )
-    finally:
-        if not was_enabled:
-            tracer.disable()
 
     refine_detail = _refine_detail(snapshot)
 
@@ -406,12 +407,10 @@ def _refine_detail(snapshot) -> dict:
 
 
 def _profile_property(stg, prop: str, args: argparse.Namespace) -> bool:
-    workers = getattr(args, "workers", 0)
     if prop == "normalcy":
-        return _check_normalcy(stg, args.method, args.node_budget, workers)
+        return _check_normalcy(stg, args.method, args.node_budget)
     return _check_coding(
-        stg, prop, args.method, False, args.node_budget, workers,
-        use_facts=getattr(args, "facts", False),
+        stg, prop, args.method, False, args.node_budget,
         use_refinement=getattr(args, "refine", False),
     )
 
@@ -522,7 +521,6 @@ def _run_batch_cmd(args: argparse.Namespace) -> int:
         engines=engines,
         timeout=args.timeout,
         node_budget=args.node_budget,
-        workers=args.workers,
     )
     cache_dir = None if args.no_cache else (args.cache_dir or str(default_cache_dir()))
     report = run_batch(
@@ -954,23 +952,8 @@ def build_parser() -> argparse.ArgumentParser:
         "--node-budget",
         type=int,
         metavar="N",
-        help="give up (exit 2) if the IP search exceeds N branch-and-bound "
-        "nodes",
-    )
-    check.add_argument(
-        "--workers",
-        type=int,
-        default=0,
-        metavar="N",
-        help="split the IP search tree over N worker processes "
-        "(default: 0 = sequential; ilp method only)",
-    )
-    check.add_argument(
-        "--facts",
-        action="store_true",
-        help="let the IP search consume the structural facts engine "
-        "(repro.analysis): facts-licensed prescreens and clique-capacity "
-        "pruning; verdicts and witnesses are byte-identical either way",
+        help="give up (exit 2) once the IP search exceeds N branch-and-bound "
+        "nodes in total over the whole check",
     )
     check.add_argument(
         "--refine",
@@ -1020,19 +1003,10 @@ def build_parser() -> argparse.ArgumentParser:
         help="engine to profile (default: ilp, the paper's method)",
     )
     profile.add_argument(
-        "--node-budget", type=int, metavar="N", help="IP search node budget"
-    )
-    profile.add_argument(
-        "--workers",
+        "--node-budget",
         type=int,
-        default=0,
         metavar="N",
-        help="intra-check search workers (default: 0 = sequential)",
-    )
-    profile.add_argument(
-        "--facts",
-        action="store_true",
-        help="enable the structural-facts search path (ilp method only)",
+        help="IP search node budget for the whole check",
     )
     profile.add_argument(
         "--refine",
@@ -1092,15 +1066,10 @@ def build_parser() -> argparse.ArgumentParser:
         "--timeout", type=float, metavar="SECONDS", help="per-engine deadline"
     )
     batch.add_argument(
-        "--node-budget", type=int, metavar="N", help="IP search node budget"
-    )
-    batch.add_argument(
-        "--workers",
+        "--node-budget",
         type=int,
-        default=0,
         metavar="N",
-        help="intra-check search workers per ilp job (default: 0 = "
-        "sequential; multiplies with --jobs)",
+        help="IP search node budget per job, for the whole check",
     )
     batch.add_argument(
         "--retries",

@@ -131,10 +131,6 @@ class SolverContext:
             self._succ_pos = succ
         return self._succ_pos
 
-    def snapshot(self) -> "SolverSnapshot":
-        """The picklable slice of this context (see :class:`SolverSnapshot`)."""
-        return SolverSnapshot(self)
-
     def _remap(self, event_mask: int) -> int:
         """Project an event-index mask onto the free-position index space."""
         mask = 0
@@ -236,45 +232,3 @@ class SolverContext:
             self.prefix.net.transition_name(t)
             for t in linearise(self.prefix, events)
         ]
-
-
-class SolverSnapshot:
-    """A picklable slice of a :class:`SolverContext`.
-
-    Carries exactly the precomputed tables the iterative search cores touch
-    — position masks, signal contributions, suffix bounds, window flow rows
-    — and none of the prefix machinery, so a :class:`SearchShard` plus a
-    snapshot is a complete, cheap-to-pickle work unit for a worker process.
-    Workers run the *linear* part of the system only; candidate evaluation
-    (markings, ``Out`` sets, traces) stays with the parent, which holds the
-    real context.
-    """
-
-    __slots__ = (
-        "num_vars",
-        "num_signals",
-        "num_places",
-        "pred_pos",
-        "conf_pos",
-        "signal_of",
-        "delta_of",
-        "suffix_count",
-        "suffix_plus",
-        "suffix_minus",
-        "window_flows",
-        "succ_pos",
-    )
-
-    def __init__(self, context: SolverContext):
-        self.num_vars = context.num_vars
-        self.num_signals = context.num_signals
-        self.num_places = context.num_places
-        self.pred_pos = list(context.pred_pos)
-        self.conf_pos = list(context.conf_pos)
-        self.signal_of = list(context.signal_of)
-        self.delta_of = list(context.delta_of)
-        self.suffix_count = [list(row) for row in context.suffix_count]
-        self.suffix_plus = [list(row) for row in context.suffix_plus]
-        self.suffix_minus = [list(row) for row in context.suffix_minus]
-        self.window_flows = list(context.window_flows)
-        self.succ_pos = list(context.succ_pos)

@@ -25,16 +25,13 @@ for dynamically conflict-free STGs.
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import TYPE_CHECKING, Iterator, List, Optional, Sequence, Tuple
+from typing import Iterator, Optional, Sequence, Tuple
 
 import numpy as np
 
 from repro.core.context import SolverContext
 from repro.petri.analysis import _integer_kernel
 from repro.petri.incidence import balance_matrix_from_changes, transition_flow_matrix
-
-if TYPE_CHECKING:
-    from repro.refine import RefinementOutcome
 
 #: One relaxation row over the ``2n`` variables ``x'_0..x'_{n-1}, x''_0..``.
 RelaxationRow = Tuple[Sequence[int], str, int]
@@ -148,27 +145,3 @@ def lp_prescreen(context: SolverContext) -> Optional[bool]:
             if result.objective_value is None or result.objective_value > 0:
                 return None
     return False
-
-
-def refinement_prescreen(
-    context: SolverContext, factbase=None, cert_store=None
-) -> Tuple[Optional[bool], "RefinementOutcome"]:
-    """The CEGAR trap/siphon refinement tier (:mod:`repro.refine`).
-
-    Strictly stronger than :func:`lp_prescreen` on two axes: the integral
-    token-flow difference of a window is rounded against the LP bound
-    (an optimum below 1 already proves the integer difference is zero), and
-    spurious relaxation solutions are refuted by trap/siphon cuts separated
-    from the :mod:`repro.analysis` FactBase or an exact-rational separation
-    LP.  Returns ``(False, outcome)`` when the conflict system is refuted
-    (with a replayable certificate on the outcome) and ``(None, outcome)``
-    otherwise; the outcome's fixed-place classification feeds the in-search
-    bound tightening of :mod:`repro.core.search` / :mod:`repro.core.window`.
-
-    Only sound together with Proposition 1 (dynamically conflict-free STGs),
-    exactly like the other prescreens in this module.
-    """
-    from repro.refine import refine_prescreen
-
-    outcome = refine_prescreen(context, factbase=factbase, cert_store=cert_store)
-    return (False if outcome.refuted else None), outcome

@@ -33,11 +33,6 @@ Implementation: the descent is an *iterative* explicit-stack loop — one
 preallocated frame per depth, no recursion, no generator chain — driven by
 precomputed per-position branch tables (the legal ``(a, b)`` successor
 options with the signal delta and the balance-pruning interval folded in).
-Any subtree can be packaged as a picklable :class:`SearchShard` (the resume
-index plus the partial assignment state) and resumed later, in another
-process, via :meth:`PairSearch.solutions_from`; :meth:`PairSearch.frontier_from`
-splits a shard into the consistent partial assignments at a deeper index,
-which is how :mod:`repro.core.parallel` fans one check out over workers.
 
 Observability: the search keeps its own :class:`SearchStats` (node, leaf,
 prune and solution counts — the ablation benchmarks read these directly);
@@ -50,18 +45,14 @@ carries no instrumentation at all.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator, List, Optional, Tuple, Union
+from typing import Iterator, List, Optional, Tuple
 
-from repro.exceptions import SolverError, SolverLimitError
-from repro.core.context import SolverContext, SolverSnapshot
+from repro.core.context import SolverContext
+from repro.exceptions import SolverLimitError
 
 #: Constraint placed on the per-signal code difference ``Code(x')-Code(x'')``.
 MODE_EQUAL = "equal"   # USC / CSC: difference must vanish
 MODE_LEQ = "leq"       # normalcy: Code(x') <= Code(x'') componentwise
-
-#: Either the full prefix view or its picklable slice — the searches only
-#: touch the shared table attributes, so both work interchangeably.
-ContextLike = Union[SolverContext, SolverSnapshot]
 
 #: Sentinel bound for disabled interval pruning (never exceeded).
 _NO_BOUND = 1 << 62
@@ -76,32 +67,6 @@ class SearchStats:
     pruned_balance: int = 0
     pruned_structure: int = 0
     solutions: int = 0
-
-    def merge(self, other: "SearchStats") -> None:
-        """Accumulate another run's counters (shard merging)."""
-        self.nodes += other.nodes
-        self.leaves += other.leaves
-        self.pruned_balance += other.pruned_balance
-        self.pruned_structure += other.pruned_structure
-        self.solutions += other.solutions
-
-
-@dataclass(frozen=True)
-class SearchShard:
-    """A picklable resume point of the pair search: the subtree rooted at the
-    partial assignment ``(ones_a, ones_b)`` of positions ``< resume_index``.
-
-    ``diff`` is the per-signal code difference of the partial assignment and
-    ``differed`` whether the two vectors already differ (the symmetry-breaking
-    state) — exactly the state the descent threads through its frames, so a
-    shard resumes bit-for-bit where the frontier enumeration stopped.
-    """
-
-    resume_index: int
-    ones_a: int
-    ones_b: int
-    diff: Tuple[int, ...]
-    differed: bool
 
 
 class PairSearch:
@@ -121,35 +86,16 @@ class PairSearch:
         behaviour the paper improves upon).
     ``node_budget``
         Raise :class:`SolverLimitError` after this many search nodes.
-    ``capacities``
-        Optional conflict-clique capacity tables from
-        :func:`repro.analysis.conflict_clique_capacities`.  In nested mode
-        they replace the plain suffix counts in the balance intervals —
-        never looser, so only dead subtrees are cut earlier and the
-        solution stream is unchanged (the ``use_facts=`` contract).
-    ``movable_places``
-        Optional per-original-place movability classification from
-        :mod:`repro.refine` (the ``use_refinement=`` path; honoured in
-        nested :data:`MODE_EQUAL` only, where the refinement certificate
-        applies).  Places *not* marked movable are certified to have zero
-        token-flow delta across every balanced nested pair, so a subtree
-        whose difference set already balances the movable places and whose
-        undecided suffix touches none of them can only complete to pairs
-        with ``Mark(C') = Mark(C'')`` — which the checkers discard without
-        counting.  Pruning them changes no verdict, witness or candidate
-        count.
     """
 
     def __init__(
         self,
-        context: ContextLike,
+        context: SolverContext,
         mode: str = MODE_EQUAL,
         nested_only: bool = False,
         use_balance_pruning: bool = True,
         use_order_propagation: bool = True,
         node_budget: Optional[int] = None,
-        capacities: Optional[Tuple[List[List[int]], List[List[int]]]] = None,
-        movable_places: Optional[List[bool]] = None,
     ):
         if mode not in (MODE_EQUAL, MODE_LEQ):
             raise ValueError(f"unknown mode {mode!r}")
@@ -159,71 +105,8 @@ class PairSearch:
         self.use_balance_pruning = use_balance_pruning
         self.use_order_propagation = use_order_propagation
         self.node_budget = node_budget
-        self.capacities = capacities
         self.stats = SearchStats()
-        self._movable = (
-            movable_places if nested_only and mode == MODE_EQUAL else None
-        )
-        self._movable_flows: List[Tuple[Tuple[int, int], ...]] = []
-        self._movable_suffix: List[bool] = []
-        if self._movable is not None:
-            flows = context.window_flows
-            self._movable_flows = [
-                tuple(
-                    (place, delta)
-                    for place, delta in flows[index]
-                    if self._movable[place]
-                )
-                for index in range(context.num_vars)
-            ]
-            self._movable_suffix = [False] * (context.num_vars + 1)
-            for index in range(context.num_vars - 1, -1, -1):
-                self._movable_suffix[index] = (
-                    self._movable_suffix[index + 1]
-                    or bool(self._movable_flows[index])
-                )
         self._build_branch_tables()
-
-    # -- public API -------------------------------------------------------------
-
-    def root_shard(self) -> SearchShard:
-        """The shard covering the whole search tree."""
-        return SearchShard(
-            resume_index=0,
-            ones_a=0,
-            ones_b=0,
-            diff=(0,) * self.context.num_signals,
-            differed=False,
-        )
-
-    def solutions(self) -> Iterator[Tuple[int, int]]:
-        """Yield all pairs of position masks satisfying the code constraint
-        (plus compatibility and the cut-off constraints), lazily.
-
-        The caller applies the remaining (generally non-linear) separating
-        constraints — ``Mark`` inequality for USC, ``Out`` inequality for
-        CSC, ``Nxt`` comparisons for normalcy — to each candidate, which is
-        exactly the paper's strategy of checking those directly on the STG.
-        """
-        return self.solutions_from(self.root_shard())
-
-    def solutions_from(self, shard: SearchShard) -> Iterator[Tuple[int, int]]:
-        """Resume the enumeration inside ``shard`` (its subtree only)."""
-        return self._walk(shard, None)  # type: ignore[return-value]
-
-    def frontier_from(self, shard: SearchShard, depth: int) -> List[SearchShard]:
-        """Split ``shard`` into the consistent partial assignments at position
-        ``depth`` (clamped to ``num_vars``), in descent order.
-
-        Dead prefixes — partial assignments killed by order propagation or
-        balance pruning — are never emitted, and the internal nodes walked
-        here are counted into :attr:`stats` exactly once, so frontier stats
-        plus per-shard stats add up to the sequential totals.
-        """
-        stop = min(depth, self.context.num_vars)
-        if shard.resume_index >= stop:
-            return [shard]
-        return list(self._walk(shard, stop))  # type: ignore[arg-type]
 
     # -- the iterative hot loop --------------------------------------------------
 
@@ -244,7 +127,6 @@ class PairSearch:
         context = self.context
         equal = self.mode == MODE_EQUAL
         prune = self.use_balance_pruning
-        capacities = self.capacities
         plain: List[Tuple[Tuple[int, int, int, int, int, int], ...]] = []
         sym: List[Tuple[Tuple[int, int, int, int, int, int], ...]] = []
         for index in range(context.num_vars):
@@ -254,30 +136,12 @@ class PairSearch:
             if signal is not None and prune:
                 nxt = index + 1
                 if self.nested_only:
-                    if capacities is not None:
-                        # the undecided window events are conflict-free, so
-                        # the clique capacities bound them at least as
-                        # tightly as the raw suffix counts
-                        plus_cap, minus_cap = capacities
-                        lim_pos = plus_cap[nxt][signal]
-                        lim_neg = -minus_cap[nxt][signal] if equal else -_NO_BOUND
-                    else:
-                        lim_pos = context.suffix_plus[nxt][signal]
-                        lim_neg = (
-                            -context.suffix_minus[nxt][signal]
-                            if equal
-                            else -_NO_BOUND
-                        )
+                    lim_pos = context.suffix_plus[nxt][signal]
+                    lim_neg = (
+                        -context.suffix_minus[nxt][signal] if equal else -_NO_BOUND
+                    )
                 else:
-                    if capacities is not None:
-                        # the two sides of the pair contribute through the
-                        # disjoint difference sets C'\C'' and C''\C', each
-                        # conflict-free on its own, so the clique capacities
-                        # of both polarities bound the total movement
-                        plus_cap, minus_cap = capacities
-                        count = plus_cap[nxt][signal] + minus_cap[nxt][signal]
-                    else:
-                        count = context.suffix_count[nxt][signal]
+                    count = context.suffix_count[nxt][signal]
                     lim_pos = count
                     lim_neg = -count if equal else -_NO_BOUND
             else:
@@ -302,19 +166,19 @@ class PairSearch:
         self._branch_plain = plain
         self._branch_sym = sym
 
-    def _walk(
-        self, shard: SearchShard, stop: Optional[int]
-    ) -> Iterator[Union[Tuple[int, int], SearchShard]]:
-        """The iterative descent over ``shard``'s subtree.
+    def solutions(self) -> Iterator[Tuple[int, int]]:
+        """Yield all pairs of position masks satisfying the code constraint
+        (plus compatibility and the cut-off constraints), lazily.
 
-        With ``stop is None`` runs to the leaves and yields solution pairs;
-        with ``stop = k`` yields uncounted :class:`SearchShard` resume points
-        at position ``k`` instead (frontier splitting).
+        The caller applies the remaining (generally non-linear) separating
+        constraints — ``Mark`` inequality for USC, ``Out`` inequality for
+        CSC, ``Nxt`` comparisons for normalcy — to each candidate, which is
+        exactly the paper's strategy of checking those directly on the STG.
+        The descent is iterative, from the empty assignment to the leaves.
         """
         context = self.context
         num_vars = context.num_vars
-        start = shard.resume_index
-        depth_cap = num_vars - start + 1
+        depth_cap = num_vars + 1
         mode_equal = self.mode == MODE_EQUAL
         propagate = self.use_order_propagation
         budget = self.node_budget if self.node_budget is not None else _NO_BOUND
@@ -322,25 +186,8 @@ class PairSearch:
         branch_sym = self._branch_sym
         pred_pos = context.pred_pos
         conf_pos = context.conf_pos
-        movable = self._movable
-        movable_flows = self._movable_flows
-        movable_suffix = self._movable_suffix
 
-        # token-flow delta of the difference set C''\C' on movable places
-        # (refinement tightening; (0, 1) options are the only contributors)
-        movable_delta: List[int] = []
-        movable_nonzero = 0
-        if movable is not None:
-            movable_delta = [0] * context.num_places
-            mask = shard.ones_b & ~shard.ones_a
-            while mask:
-                low = mask & -mask
-                for place, d in movable_flows[low.bit_length() - 1]:
-                    movable_delta[place] += d
-                mask ^= low
-            movable_nonzero = sum(1 for value in movable_delta if value)
-
-        diff = list(shard.diff)
+        diff = [0] * context.num_signals
         # one preallocated frame per depth (the descent advances the index by
         # exactly one, so depth identifies the position being decided)
         ones_a = [0] * depth_cap
@@ -354,49 +201,19 @@ class PairSearch:
         can_b = [False] * depth_cap
         undo_sig = [0] * depth_cap
         undo_dd = [0] * depth_cap
-        undo_flow: List[Tuple[Tuple[int, int], ...]] = [()] * depth_cap
-        ones_a[0], ones_b[0] = shard.ones_a, shard.ones_b
-        differed[0] = shard.differed
 
-        nodes = leaves = pruned = pruned_struct = found = 0
+        nodes = leaves = pruned = found = 0
         depth = 0
         fresh = True
         try:
             while depth >= 0:
                 if fresh:
-                    index = start + depth
-                    if stop is not None and index == stop:
-                        # emit a resume point; the node itself is counted by
-                        # whoever descends into the shard, not here
-                        yield SearchShard(
-                            resume_index=index,
-                            ones_a=ones_a[depth],
-                            ones_b=ones_b[depth],
-                            diff=tuple(diff),
-                            differed=differed[depth],
-                        )
-                        dd = undo_dd[depth]
-                        if dd:
-                            diff[undo_sig[depth]] -= dd
-                        if movable is not None:
-                            for place, d in undo_flow[depth]:
-                                before = movable_delta[place]
-                                after = before - d
-                                movable_delta[place] = after
-                                if before == 0:
-                                    if after:
-                                        movable_nonzero += 1
-                                elif after == 0:
-                                    movable_nonzero -= 1
-                        depth -= 1
-                        fresh = False
-                        continue
                     nodes += 1
                     if nodes > budget:
                         raise SolverLimitError(
                             f"pair search exceeded node budget {self.node_budget}"
                         )
-                    if index == num_vars:
+                    if depth == num_vars:
                         leaves += 1
                         oa, ob = ones_a[depth], ones_b[depth]
                         if mode_equal:
@@ -411,56 +228,21 @@ class PairSearch:
                         dd = undo_dd[depth]
                         if dd:
                             diff[undo_sig[depth]] -= dd
-                        if movable is not None:
-                            for place, d in undo_flow[depth]:
-                                before = movable_delta[place]
-                                after = before - d
-                                movable_delta[place] = after
-                                if before == 0:
-                                    if after:
-                                        movable_nonzero += 1
-                                elif after == 0:
-                                    movable_nonzero -= 1
-                        depth -= 1
-                        fresh = False
-                        continue
-                    if (
-                        movable is not None
-                        and movable_nonzero == 0
-                        and not movable_suffix[index]
-                    ):
-                        # refinement tightening: completions can no longer
-                        # move any movable place, and the immovable ones are
-                        # certified — every surviving leaf would have
-                        # Mark(C') = Mark(C''), which the checkers discard
-                        pruned_struct += 1
-                        dd = undo_dd[depth]
-                        if dd:
-                            diff[undo_sig[depth]] -= dd
-                        for place, d in undo_flow[depth]:
-                            before = movable_delta[place]
-                            after = before - d
-                            movable_delta[place] = after
-                            if before == 0:
-                                if after:
-                                    movable_nonzero += 1
-                            elif after == 0:
-                                movable_nonzero -= 1
                         depth -= 1
                         fresh = False
                         continue
                     oa, ob = ones_a[depth], ones_b[depth]
                     if propagate:
-                        pred = pred_pos[index]
-                        conf = conf_pos[index]
+                        pred = pred_pos[depth]
+                        conf = conf_pos[depth]
                         can_a[depth] = pred & ~oa == 0 and conf & oa == 0
                         can_b[depth] = pred & ~ob == 0 and conf & ob == 0
                     else:
                         can_a[depth] = can_b[depth] = True
                     options[depth] = (
-                        branch_sym[index]
+                        branch_sym[depth]
                         if mode_equal and not differed[depth]
-                        else branch_plain[index]
+                        else branch_plain[depth]
                     )
                     cursor[depth] = 0
                     fresh = False
@@ -488,22 +270,6 @@ class PairSearch:
                         undo_dd[child] = dd
                     else:
                         undo_dd[child] = 0
-                    if movable is not None:
-                        mflows = (
-                            movable_flows[start + depth]
-                            if bbit and not abit
-                            else ()
-                        )
-                        undo_flow[child] = mflows
-                        for place, d in mflows:
-                            before = movable_delta[place]
-                            after = before + d
-                            movable_delta[place] = after
-                            if before == 0:
-                                if after:
-                                    movable_nonzero += 1
-                            elif after == 0:
-                                movable_nonzero -= 1
                     cursor[depth] = cur
                     ones_a[child] = oa | abit
                     ones_b[child] = ob | bbit
@@ -518,23 +284,12 @@ class PairSearch:
                 dd = undo_dd[depth]
                 if dd:
                     diff[undo_sig[depth]] -= dd
-                if movable is not None:
-                    for place, d in undo_flow[depth]:
-                        before = movable_delta[place]
-                        after = before - d
-                        movable_delta[place] = after
-                        if before == 0:
-                            if after:
-                                movable_nonzero += 1
-                        elif after == 0:
-                            movable_nonzero -= 1
                 depth -= 1
         finally:
             stats = self.stats
             stats.nodes += nodes
             stats.leaves += leaves
             stats.pruned_balance += pruned
-            stats.pruned_structure += pruned_struct
             stats.solutions += found
 
     # -- leaf validation (ablation path only) -------------------------------------
@@ -544,11 +299,6 @@ class PairSearch:
         from repro.core.closure import is_compatible
 
         context = self.context
-        if not isinstance(context, SolverContext):
-            raise SolverError(
-                "leaf compatibility validation needs the full SolverContext "
-                "(snapshots carry no relations); keep order propagation on"
-            )
         for mask in (ones_a, ones_b):
             events = 0
             for e in context.positions_to_events(mask):

@@ -15,12 +15,14 @@ candidate solution.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, FrozenSet, List, Optional, Tuple, Union
 
 from repro import obs
 from repro.core.context import SolverContext
 from repro.core.search import MODE_EQUAL, MODE_LEQ, PairSearch, SearchStats
+from repro.core.window import WindowSearch
+from repro.exceptions import SolverLimitError
 from repro.petri.marking import Marking
 from repro.stg.stg import STG
 from repro.unfolding.occurrence_net import Prefix
@@ -119,108 +121,53 @@ def _flush_search_stats(stats: SearchStats) -> None:
     tracer.incr("search.solutions", stats.solutions)
 
 
-def _make_search(
-    context: SolverContext,
-    kind: str,
-    mode: str = MODE_EQUAL,
-    nested_only: bool = False,
-    node_budget: Optional[int] = None,
-    workers: int = 0,
-    shards: Optional[int] = None,
-    capacities=None,
-    movable_places=None,
-):
-    """Build the sequential search, or its frontier-split parallel front end
-    when the caller asked for workers or an explicit shard split (both have
-    the same ``solutions()`` / ``stats`` surface — docs/parallelism.md).
-
-    Like the clique ``capacities``, the refinement ``movable_places``
-    classification tightens the sequential searches only — snapshots do not
-    carry it, so the parallel path simply prunes later."""
-    if workers > 0 or (shards is not None and shards > 1):
-        from repro.core.parallel import KIND_PAIRS, KIND_WINDOW, ParallelSearch
-
-        assert kind in (KIND_PAIRS, KIND_WINDOW)
-        return ParallelSearch(
-            context,
-            kind=kind,
-            mode=mode,
-            nested_only=nested_only,
-            node_budget=node_budget,
-            workers=workers,
-            shards=shards,
-        )
-    if kind == "window":
-        from repro.core.window import WindowSearch
-
-        return WindowSearch(
-            context,
-            node_budget=node_budget,
-            capacities=capacities,
-            movable_places=movable_places,
-        )
-    return PairSearch(
-        context,
-        mode=mode,
-        nested_only=nested_only,
-        node_budget=node_budget,
-        capacities=capacities,
-        movable_places=movable_places,
-    )
-
-
 def _facts_dcf(context: SolverContext) -> bool:
     """Does the fact engine prove dynamic conflict-freeness (Proposition 1)?
 
-    Used by the ``use_facts=`` path to license the nested-formulation
-    prescreens when :func:`_should_nest`'s purely structural test fails.
-    The proof is the invariant-exclusion coverage of every structural
-    conflict pair (docs/analysis.md), computed once per STG content hash.
+    Licenses the refinement prescreen when :func:`_should_nest`'s purely
+    structural test fails.  The proof is the invariant-exclusion coverage
+    of every structural conflict pair (docs/analysis.md), computed once per
+    STG content hash.
     """
     from repro.analysis import analyze
 
     return analyze(context.stg).proves_dynamic_conflict_freeness()
 
 
-def _run_refinement(context: SolverContext, nest: bool, cert_cache=None):
+def _run_refinement(context: SolverContext, nest: bool, cert_cache=None) -> bool:
     """Run the :mod:`repro.refine` CEGAR prescreen when Proposition 1
-    licenses it (structural nesting or a facts-proven DCF certificate).
-
-    Returns ``(refuted, movable_places)``.  ``movable_places`` feeds the
-    in-search tightening and is only handed out under the *structural*
-    nesting licence — the searches then run in nested mode, which is the
-    regime the refinement certificate's bounds are proved for.
+    licenses it (structural nesting or a facts-proven DCF certificate) and
+    return whether it refuted the conflict system (with a replayed cut
+    certificate) — refuted means no USC conflict, hence no CSC conflict.
 
     ``cert_cache`` is an optional :class:`repro.engine.cache.ResultCache`
     whose refine-cert domain the prescreen replays verified dual bounds
     from (always re-checked exactly) and persists fresh ones to.
     """
     if not (nest or _facts_dcf(context)):
-        return False, None
-    from repro.core.prescreen import refinement_prescreen
+        return False
+    from repro.refine import refine_prescreen
 
     with obs.trace("refine.prescreen"):
-        verdict, outcome = refinement_prescreen(context, cert_store=cert_cache)
-    movable = outcome.movable_places if nest and not outcome.refuted else None
-    return verdict is False, movable
+        return refine_prescreen(context, cert_store=cert_cache).refuted
 
 
-def _clique_capacities(
-    context: SolverContext, use_facts: bool, workers: int, shards: Optional[int]
-):
-    """Capacity tables for the sequential searches (``use_facts=`` only).
-
-    The parallel driver ships :class:`SolverSnapshot` slices that do not
-    carry the tables, so the facts-tightened bounds apply to the sequential
-    path only — verdicts and witnesses are identical either way, the
-    parallel run just prunes later.
-    """
-    if not use_facts or workers > 0 or (shards is not None and shards > 1):
-        return None
-    from repro.analysis import conflict_clique_capacities
-
-    with obs.trace("analysis.cliques"):
-        return conflict_clique_capacities(context)
+def _holds(
+    property_name: str,
+    context: SolverContext,
+    started: float,
+    stats: Optional[SearchStats] = None,
+) -> CodingReport:
+    """The report of a check settled without any conflict candidate."""
+    return CodingReport(
+        property_name=property_name,
+        holds=True,
+        witness=None,
+        usc_only_candidates=0,
+        prefix_stats=context.prefix.stats(),
+        search_stats=stats if stats is not None else SearchStats(),
+        elapsed=time.perf_counter() - started,
+    )
 
 
 def _should_nest(context: SolverContext, nested: Optional[bool]) -> bool:
@@ -246,9 +193,6 @@ def check_usc(
     use_window_search: bool = True,
     prescreen: Optional[str] = "kernel",
     node_budget: Optional[int] = None,
-    workers: int = 0,
-    shards: Optional[int] = None,
-    use_facts: bool = False,
     use_refinement: bool = False,
     cert_cache=None,
     unfolding_options: Optional[UnfoldingOptions] = None,
@@ -265,76 +209,35 @@ def check_usc(
     (the rational-simplex relaxation — stronger but much costlier), or
     ``None``.  A conclusive prescreen skips the search entirely.
 
-    ``workers`` / ``shards`` enable the frontier-split parallel search of
-    :mod:`repro.core.parallel` (0/None: sequential; verdicts and witnesses
-    are identical either way — docs/parallelism.md).
-
-    ``use_facts`` consults the :mod:`repro.analysis` fact engine: a proof of
-    dynamic conflict-freeness licenses the nested-formulation prescreen even
-    when the structural test of :func:`_should_nest` fails, and conflict-
-    clique capacity tables tighten the balance-pruning intervals of the
-    sequential searches.  Both only prune — verdicts and witnesses are
-    byte-identical to the ``use_facts=False`` path (pinned by
-    ``tests/analysis``).
+    ``node_budget`` bounds the whole check: :class:`SolverLimitError` is
+    raised once the search has visited more nodes than that.
 
     ``use_refinement`` runs the :mod:`repro.refine` CEGAR prescreen (when
     dynamic conflict-freeness licenses it): a refuted conflict system
     settles the check with a replayable cut certificate and no search at
-    all; otherwise the certified-immovable places tighten the sequential
-    searches.  Verdicts, witnesses and candidate counts are byte-identical
-    either way (pinned by ``tests/refine``).
+    all; otherwise the exact search runs unchanged.  Verdicts, witnesses
+    and candidate counts are byte-identical either way (pinned by
+    ``tests/refine``).
     """
     started = time.perf_counter()
     context = _prepare(source, unfolding_options)
     nest = _should_nest(context, nested)
     witness = None
 
-    prescreen_licensed = nest
-    if use_facts and not nest and prescreen is not None:
-        prescreen_licensed = _facts_dcf(context)
-
-    if prescreen_licensed and prescreen is not None:
+    if nest and prescreen is not None:
         from repro.core.prescreen import kernel_prescreen, lp_prescreen
 
         screen = {"kernel": kernel_prescreen, "lp": lp_prescreen}[prescreen]
         with obs.trace("search.prescreen"):
             verdict = screen(context)
         if verdict is False:
-            return CodingReport(
-                property_name="USC",
-                holds=True,
-                witness=None,
-                usc_only_candidates=0,
-                prefix_stats=context.prefix.stats(),
-                search_stats=SearchStats(),
-                elapsed=time.perf_counter() - started,
-            )
+            return _holds("USC", context, started)
 
-    movable = None
-    if use_refinement:
-        refuted, movable = _run_refinement(context, nest, cert_cache)
-        if refuted:
-            return CodingReport(
-                property_name="USC",
-                holds=True,
-                witness=None,
-                usc_only_candidates=0,
-                prefix_stats=context.prefix.stats(),
-                search_stats=SearchStats(),
-                elapsed=time.perf_counter() - started,
-            )
+    if use_refinement and _run_refinement(context, nest, cert_cache):
+        return _holds("USC", context, started)
 
-    capacities = _clique_capacities(context, use_facts, workers, shards)
     if nest and use_window_search:
-        search = _make_search(
-            context,
-            "window",
-            node_budget=node_budget,
-            workers=workers,
-            shards=shards,
-            capacities=capacities,
-            movable_places=movable,
-        )
+        search = WindowSearch(context, node_budget=node_budget)
         with obs.trace("search.window"):
             for closure_mask, window_mask in search.solutions():
                 mask_b = closure_mask
@@ -351,19 +254,11 @@ def check_usc(
                     break
         stats = search.stats
     else:
-        search = _make_search(
-            context,
-            "pairs",
-            mode=MODE_EQUAL,
-            nested_only=nest,
-            node_budget=node_budget,
-            workers=workers,
-            shards=shards,
-            capacities=capacities,
-            movable_places=movable,
+        pairs = PairSearch(
+            context, mode=MODE_EQUAL, nested_only=nest, node_budget=node_budget
         )
         with obs.trace("search.pairs"):
-            for mask_a, mask_b in search.solutions():
+            for mask_a, mask_b in pairs.solutions():
                 mark_a = context.marking_of(mask_a)
                 mark_b = context.marking_of(mask_b)
                 if mark_a == mark_b:
@@ -371,7 +266,7 @@ def check_usc(
                 witness = _witness("usc", context, mask_a, mask_b, mark_a, mark_b)
                 if first_only:
                     break
-        stats = search.stats
+        stats = pairs.stats
 
     _flush_search_stats(stats)
     return CodingReport(
@@ -391,9 +286,6 @@ def check_csc(
     nested: Optional[bool] = None,
     use_window_search: bool = True,
     node_budget: Optional[int] = None,
-    workers: int = 0,
-    shards: Optional[int] = None,
-    use_facts: bool = False,
     use_refinement: bool = False,
     cert_cache=None,
     unfolding_options: Optional[UnfoldingOptions] = None,
@@ -411,17 +303,14 @@ def check_csc(
     embedding does the checker fall back to the general pair search (other
     embeddings of the same window reach different marking pairs).
 
-    ``use_facts`` adds the fact-engine refinements of :func:`check_usc`:
-    under a (structural or facts-proven) dynamic conflict-freeness licence
-    a conclusive kernel prescreen settles CSC outright — no USC conflict
-    means no CSC conflict — and clique capacity tables tighten the
-    sequential searches.  Verdicts and witnesses stay byte-identical.
+    ``node_budget`` bounds the whole check, the window pre-pass and the pair
+    fallback together: the fallback only gets the nodes the pre-pass left.
 
     ``use_refinement`` adds the :mod:`repro.refine` CEGAR prescreen under
-    the same licence: a refuted conflict system means no USC conflict,
-    hence CSC holds with zero candidates; otherwise the certified-immovable
-    places tighten the sequential searches.  Verdicts, witnesses and
-    candidate counts stay byte-identical (pinned by ``tests/refine``).
+    the same licence as :func:`check_usc`: a refuted conflict system means
+    no USC conflict, hence CSC holds with zero candidates.  Verdicts,
+    witnesses and candidate counts stay byte-identical (pinned by
+    ``tests/refine``).
     """
     started = time.perf_counter()
     context = _prepare(source, unfolding_options)
@@ -430,47 +319,11 @@ def check_csc(
     usc_only = 0
     stats = None
 
-    if use_facts and (nest or _facts_dcf(context)):
-        from repro.core.prescreen import kernel_prescreen
+    if use_refinement and _run_refinement(context, nest, cert_cache):
+        return _holds("CSC", context, started)
 
-        with obs.trace("search.prescreen"):
-            verdict = kernel_prescreen(context)
-        if verdict is False:
-            return CodingReport(
-                property_name="CSC",
-                holds=True,
-                witness=None,
-                usc_only_candidates=0,
-                prefix_stats=context.prefix.stats(),
-                search_stats=SearchStats(),
-                elapsed=time.perf_counter() - started,
-            )
-
-    movable = None
-    if use_refinement:
-        refuted, movable = _run_refinement(context, nest, cert_cache)
-        if refuted:
-            return CodingReport(
-                property_name="CSC",
-                holds=True,
-                witness=None,
-                usc_only_candidates=0,
-                prefix_stats=context.prefix.stats(),
-                search_stats=SearchStats(),
-                elapsed=time.perf_counter() - started,
-            )
-
-    capacities = _clique_capacities(context, use_facts, workers, shards)
     if nest and use_window_search:
-        window_search = _make_search(
-            context,
-            "window",
-            node_budget=node_budget,
-            workers=workers,
-            shards=shards,
-            capacities=capacities,
-            movable_places=movable,
-        )
+        window_search = WindowSearch(context, node_budget=node_budget)
         saw_window = False
         with obs.trace("search.window"):
             for closure_mask, window_mask in window_search.solutions():
@@ -493,44 +346,36 @@ def check_csc(
         if witness is None and not saw_window:
             # no USC conflict at all: CSC holds, no fallback needed
             _flush_search_stats(stats)
-            return CodingReport(
-                property_name="CSC",
-                holds=True,
-                witness=None,
-                usc_only_candidates=0,
-                prefix_stats=context.prefix.stats(),
-                search_stats=stats,
-                elapsed=time.perf_counter() - started,
-            )
+            return _holds("CSC", context, started, stats)
 
     if witness is None:
-        search = _make_search(
-            context,
-            "pairs",
-            mode=MODE_EQUAL,
-            nested_only=nest,
-            node_budget=node_budget,
-            workers=workers,
-            shards=shards,
-            capacities=capacities,
-            movable_places=movable,
+        left = node_budget
+        if node_budget is not None and stats is not None:
+            left = node_budget - stats.nodes  # what the window pass left
+        search = PairSearch(
+            context, mode=MODE_EQUAL, nested_only=nest, node_budget=left
         )
-        with obs.trace("search.pairs"):
-            for mask_a, mask_b in search.solutions():
-                mark_a = context.marking_of(mask_a)
-                mark_b = context.marking_of(mask_b)
-                if mark_a == mark_b:
-                    continue
-                out_a = context.out_of(mark_a)
-                out_b = context.out_of(mark_b)
-                if out_a == out_b:
-                    usc_only += 1
-                    continue  # a USC conflict that is not a CSC conflict
-                witness = _witness(
-                    "csc", context, mask_a, mask_b, mark_a, mark_b, out_a, out_b
-                )
-                if first_only:
-                    break
+        try:
+            with obs.trace("search.pairs"):
+                for mask_a, mask_b in search.solutions():
+                    mark_a = context.marking_of(mask_a)
+                    mark_b = context.marking_of(mask_b)
+                    if mark_a == mark_b:
+                        continue
+                    out_a = context.out_of(mark_a)
+                    out_b = context.out_of(mark_b)
+                    if out_a == out_b:
+                        usc_only += 1
+                        continue  # a USC conflict that is not a CSC conflict
+                    witness = _witness(
+                        "csc", context, mask_a, mask_b, mark_a, mark_b, out_a, out_b
+                    )
+                    if first_only:
+                        break
+        except SolverLimitError:
+            raise SolverLimitError(
+                f"CSC check exceeded node budget {node_budget}"
+            ) from None
         stats = search.stats if stats is None else _merge_stats(stats, search.stats)
 
     _flush_search_stats(stats)
@@ -559,8 +404,6 @@ def check_normalcy(
     source: Union[STG, Prefix],
     signals: Optional[List[str]] = None,
     node_budget: Optional[int] = None,
-    workers: int = 0,
-    shards: Optional[int] = None,
     unfolding_options: Optional[UnfoldingOptions] = None,
 ) -> NormalcyIPReport:
     """Check normalcy of the given (default: all non-input) signals.
@@ -570,6 +413,8 @@ def check_normalcy(
     markings.  The direction ``R_z`` is not fixed in advance: the search
     records violations of both directions and a signal is declared abnormal
     once both have been seen (the lazy-``R_z`` refinement of Section 6).
+
+    ``node_budget`` bounds the whole check (one pair search).
     """
     started = time.perf_counter()
     context = _prepare(source, unfolding_options)
@@ -578,14 +423,8 @@ def check_normalcy(
     verdicts = {
         z: SignalVerdict(signal=z, p_normal=True, n_normal=True) for z in targets
     }
-    search = _make_search(
-        context,
-        "pairs",
-        mode=MODE_LEQ,
-        nested_only=False,
-        node_budget=node_budget,
-        workers=workers,
-        shards=shards,
+    search = PairSearch(
+        context, mode=MODE_LEQ, nested_only=False, node_budget=node_budget
     )
     unresolved = set(targets)
     with obs.trace("search.pairs"):

@@ -25,25 +25,18 @@ new event's causal predecessors may be an excluded successor of the window.
 
 Like :class:`repro.core.search.PairSearch`, the descent is an iterative
 explicit-stack loop (one preallocated frame per depth, a small stage machine
-for the include/exclude branches) and any subtree can be packaged as a
-picklable :class:`WindowShard` and resumed elsewhere — the frontier-split
-parallel driver of :mod:`repro.core.parallel` uses both searches through
-the same shard/frontier interface.
+for the include/exclude branches).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Iterator, List, Optional, Tuple, Union
-
 from time import perf_counter
+from typing import Iterator, List, Optional, Tuple
 
-from repro.core.context import SolverContext, SolverSnapshot
+from repro.core.context import SolverContext
 from repro.core.search import SearchStats
 from repro.exceptions import SolverLimitError
 from repro.obs import get_tracer
-
-ContextLike = Union[SolverContext, SolverSnapshot]
 
 _NO_BOUND = 1 << 62
 
@@ -52,22 +45,6 @@ _FRESH = 0          # node not expanded yet
 _TRY_EXCLUDE = 1    # include branch done (skipped or pruned), exclude next
 _IN_INCLUDE = 2     # include child running; undo its deltas on return
 _IN_EXCLUDE = 3     # exclude child running; pop on return
-
-
-@dataclass(frozen=True)
-class WindowShard:
-    """A picklable resume point of the window search: the subtree rooted at
-    the partial window ``chosen`` over positions ``< resume_index``, with the
-    incremental state (convexity successor mask, per-signal code difference,
-    marking-equation deltas) the descent threads through its frames.
-    """
-
-    resume_index: int
-    chosen: int
-    succ_mask: int
-    diff: Tuple[int, ...]
-    place_delta: Tuple[int, ...]
-    nonzero_places: int
 
 
 class WindowSearch:
@@ -82,92 +59,33 @@ class WindowSearch:
 
     def __init__(
         self,
-        context: ContextLike,
+        context: SolverContext,
         require_marking_change: bool = True,
         node_budget: Optional[int] = None,
-        capacities: Optional[Tuple[List[List[int]], List[List[int]]]] = None,
-        movable_places: Optional[List[bool]] = None,
     ):
         self.context = context
         self.require_marking_change = require_marking_change
         self.node_budget = node_budget
-        self.capacities = capacities
         self.stats = SearchStats()
         self.flows: List[Tuple[Tuple[int, int], ...]] = context.window_flows
         self.succ_pos: List[int] = context.succ_pos
-        # refinement tightening (repro.refine): places certified immovable
-        # have zero token-flow delta in every balanced window, so once the
-        # movable places are all balanced and no undecided position touches
-        # one, the subtree can only complete to windows with an all-zero
-        # marking delta — which the require_marking_change leaf test drops
-        # anyway.  Pruning them early changes no yielded solution.
-        self._movable = movable_places if require_marking_change else None
-        self._movable_suffix: List[bool] = []
-        if self._movable is not None:
-            self._movable_suffix = [False] * (context.num_vars + 1)
-            for index in range(context.num_vars - 1, -1, -1):
-                self._movable_suffix[index] = self._movable_suffix[index + 1] or any(
-                    self._movable[place] for place, _ in self.flows[index]
-                )
         # balance interval per position, for its own signal: the undecided
         # suffix can only raise the difference via s- events (exclusion side
-        # of a nested pair) and lower it via s+ events.  With clique
-        # capacity tables (repro.analysis, the ``use_facts=`` path) the raw
-        # suffix counts are replaced by the number of conflict cliques still
-        # intersecting the suffix — windows are conflict-free, so the bound
-        # stays sound and is never looser; only dead subtrees are cut.
+        # of a nested pair) and lower it via s+ events
         self._lim_pos: List[int] = [_NO_BOUND] * context.num_vars
         self._lim_neg: List[int] = [-_NO_BOUND] * context.num_vars
-        if capacities is not None:
-            plus_bound, minus_bound = capacities[0], capacities[1]
-        else:
-            plus_bound, minus_bound = context.suffix_plus, context.suffix_minus
         for index in range(context.num_vars):
             signal = context.signal_of[index]
             if signal is not None:
-                self._lim_pos[index] = minus_bound[index + 1][signal]
-                self._lim_neg[index] = -plus_bound[index + 1][signal]
-
-    # -- public API -------------------------------------------------------------
-
-    def root_shard(self) -> WindowShard:
-        """The shard covering the whole search tree."""
-        return WindowShard(
-            resume_index=0,
-            chosen=0,
-            succ_mask=0,
-            diff=(0,) * self.context.num_signals,
-            place_delta=(0,) * self.context.num_places,
-            nonzero_places=0,
-        )
-
-    def solutions(self) -> Iterator[Tuple[int, int]]:
-        return self.solutions_from(self.root_shard())
-
-    def solutions_from(self, shard: WindowShard) -> Iterator[Tuple[int, int]]:
-        """Resume the enumeration inside ``shard`` (its subtree only)."""
-        return self._walk(shard, None)  # type: ignore[return-value]
-
-    def frontier_from(self, shard: WindowShard, depth: int) -> List[WindowShard]:
-        """Split ``shard`` into the surviving partial windows at position
-        ``depth`` (clamped), in descent order; see
-        :meth:`repro.core.search.PairSearch.frontier_from` for the stats
-        contract (frontier + shard totals equal the sequential run).
-        """
-        stop = min(depth, self.context.num_vars)
-        if shard.resume_index >= stop:
-            return [shard]
-        return list(self._walk(shard, stop))  # type: ignore[arg-type]
+                self._lim_pos[index] = context.suffix_minus[index + 1][signal]
+                self._lim_neg[index] = -context.suffix_plus[index + 1][signal]
 
     # -- the iterative hot loop --------------------------------------------------
 
-    def _walk(
-        self, shard: WindowShard, stop: Optional[int]
-    ) -> Iterator[Union[Tuple[int, int], WindowShard]]:
+    def solutions(self) -> Iterator[Tuple[int, int]]:
         context = self.context
         num_vars = context.num_vars
-        start = shard.resume_index
-        depth_cap = num_vars - start + 1
+        depth_cap = num_vars + 1
         budget = self.node_budget if self.node_budget is not None else _NO_BOUND
         require_change = self.require_marking_change
         pred_pos = context.pred_pos
@@ -179,52 +97,28 @@ class WindowSearch:
         lim_pos = self._lim_pos
         lim_neg = self._lim_neg
 
-        movable = self._movable
-        movable_suffix = self._movable_suffix if movable is not None else None
-
-        diff = list(shard.diff)
-        place_delta = list(shard.place_delta)
+        diff = [0] * context.num_signals
+        place_delta = [0] * context.num_places
+        # one preallocated frame per depth; the descent decides one position
+        # per level, so depth is also the position being decided
         chosen = [0] * depth_cap
         succ = [0] * depth_cap
         nonzero = [0] * depth_cap
-        movable_nonzero = [0] * depth_cap
         stage = [_FRESH] * depth_cap
-        chosen[0], succ[0] = shard.chosen, shard.succ_mask
-        nonzero[0] = shard.nonzero_places
-        if movable is not None:
-            movable_nonzero[0] = sum(
-                1
-                for place, delta in enumerate(place_delta)
-                if delta and movable[place]
-            )
 
-        nodes = leaves = pruned = pruned_struct = found = 0
+        nodes = leaves = pruned = found = 0
         depth = 0
         try:
             while depth >= 0:
-                index = start + depth
                 st = stage[depth]
                 if st == _FRESH:
-                    if stop is not None and index == stop:
-                        # emit a resume point; the node itself is counted by
-                        # whoever descends into the shard, not here
-                        yield WindowShard(
-                            resume_index=index,
-                            chosen=chosen[depth],
-                            succ_mask=succ[depth],
-                            diff=tuple(diff),
-                            place_delta=tuple(place_delta),
-                            nonzero_places=nonzero[depth],
-                        )
-                        depth -= 1
-                        continue
                     nodes += 1
                     if nodes > budget:
                         raise SolverLimitError(
                             f"window search exceeded node budget "
                             f"{self.node_budget}"
                         )
-                    if index == num_vars:
+                    if depth == num_vars:
                         leaves += 1
                         window = chosen[depth]
                         if (
@@ -236,18 +130,6 @@ class WindowSearch:
                             yield self._closure(window), window
                         depth -= 1
                         continue
-                    if (
-                        movable is not None
-                        and movable_nonzero[depth] == 0
-                        and not movable_suffix[index]
-                    ):
-                        # every completion's marking delta vanishes on the
-                        # certified-immovable places and stays zero on the
-                        # balanced movable ones: no leaf here survives the
-                        # marking-change test
-                        pruned_struct += 1
-                        depth -= 1
-                        continue
                     # include the event: must be conflict-free with the
                     # window and must not create a gap (a causal predecessor
                     # outside the window that is itself above a window event
@@ -255,53 +137,47 @@ class WindowSearch:
                     window = chosen[depth]
                     stage[depth] = _TRY_EXCLUDE
                     if (
-                        conf_pos[index] & window == 0
-                        and pred_pos[index] & succ[depth] & ~window == 0
+                        conf_pos[depth] & window == 0
+                        and pred_pos[depth] & succ[depth] & ~window == 0
                     ):
-                        signal = signal_of[index]
+                        signal = signal_of[depth]
                         if signal is not None:
-                            value = diff[signal] + delta_of[index]
-                            if value > lim_pos[index] or value < lim_neg[index]:
+                            value = diff[signal] + delta_of[depth]
+                            if value > lim_pos[depth] or value < lim_neg[depth]:
                                 pruned += 1
                                 continue
                             diff[signal] = value
                         nz = nonzero[depth]
-                        mnz = movable_nonzero[depth]
-                        for place, d in flows[index]:
+                        for place, d in flows[depth]:
                             before = place_delta[place]
                             after = before + d
                             place_delta[place] = after
                             if after == 0:
                                 nz -= 1
-                                if movable is not None and movable[place]:
-                                    mnz -= 1
                             elif before == 0:
                                 nz += 1
-                                if movable is not None and movable[place]:
-                                    mnz += 1
                         stage[depth] = _IN_INCLUDE
                         child = depth + 1
-                        chosen[child] = window | (1 << index)
-                        succ[child] = succ[depth] | succ_pos[index]
+                        chosen[child] = window | (1 << depth)
+                        succ[child] = succ[depth] | succ_pos[depth]
                         nonzero[child] = nz
-                        movable_nonzero[child] = mnz
                         stage[child] = _FRESH
                         depth = child
                     continue
                 if st == _IN_INCLUDE:
                     # include child finished: undo its contributions
-                    signal = signal_of[index]
+                    signal = signal_of[depth]
                     if signal is not None:
-                        diff[signal] -= delta_of[index]
-                    for place, d in flows[index]:
+                        diff[signal] -= delta_of[depth]
+                    for place, d in flows[depth]:
                         place_delta[place] -= d
                     st = _TRY_EXCLUDE
                 if st == _TRY_EXCLUDE:
                     stage[depth] = _IN_EXCLUDE
-                    signal = signal_of[index]
+                    signal = signal_of[depth]
                     if signal is not None:
                         value = diff[signal]
-                        if value > lim_pos[index] or value < lim_neg[index]:
+                        if value > lim_pos[depth] or value < lim_neg[depth]:
                             pruned += 1
                             depth -= 1
                             continue
@@ -309,7 +185,6 @@ class WindowSearch:
                     chosen[child] = chosen[depth]
                     succ[child] = succ[depth]
                     nonzero[child] = nonzero[depth]
-                    movable_nonzero[child] = movable_nonzero[depth]
                     stage[child] = _FRESH
                     depth = child
                     continue
@@ -320,7 +195,6 @@ class WindowSearch:
             stats.nodes += nodes
             stats.leaves += leaves
             stats.pruned_balance += pruned
-            stats.pruned_structure += pruned_struct
             stats.solutions += found
 
     def _closure(self, chosen: int) -> int:

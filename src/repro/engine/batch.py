@@ -97,7 +97,6 @@ def build_jobs(
     engines: Sequence[str] = ("ilp",),
     timeout: Optional[float] = None,
     node_budget: Optional[int] = None,
-    workers: int = 0,
 ) -> List[VerificationJob]:
     """One job per target × property, all racing the same engine portfolio."""
     jobs: List[VerificationJob] = []
@@ -111,7 +110,6 @@ def build_jobs(
                     engines=tuple(engines),
                     timeout=timeout,
                     node_budget=node_budget,
-                    workers=workers,
                     name=name,
                 )
             )
@@ -124,7 +122,6 @@ def build_jobs_reporting(
     engines: Sequence[str] = ("ilp",),
     timeout: Optional[float] = None,
     node_budget: Optional[int] = None,
-    workers: int = 0,
 ) -> Tuple[List[VerificationJob], List[JobResult]]:
     """Like :func:`build_jobs`, but bad targets become structured errors.
 
@@ -163,7 +160,6 @@ def build_jobs_reporting(
                         engines=tuple(engines),
                         timeout=timeout,
                         node_budget=node_budget,
-                        workers=workers,
                         name=name,
                     )
                 )

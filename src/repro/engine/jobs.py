@@ -55,25 +55,16 @@ class VerificationJob:
     engines: Tuple[str, ...] = ("ilp",)
     timeout: Optional[float] = None
     node_budget: Optional[int] = None
-    #: Intra-check workers for the ilp engine's frontier-split search
-    #: (0 = sequential); excluded from the cache identity like the other
-    #: resource knobs — it cannot change the verdict.
-    workers: int = 0
-    #: Let the ilp engine consume the structural FactBase (facts-licensed
-    #: prescreen, clique-capacity pruning).  Verdicts and witnesses are
-    #: byte-identical either way, so — like ``workers`` — the flag is
-    #: excluded from the cache identity.
-    use_facts: bool = False
-    #: Run the repro.refine CEGAR prescreen / in-search tightening in the
-    #: ilp engine.  Same contract as ``use_facts``: verdicts, witnesses and
-    #: candidate counts are byte-identical, so the flag is excluded from
-    #: the cache identity too.
+    #: Run the repro.refine CEGAR prescreen in the ilp engine.  Verdicts,
+    #: witnesses and candidate counts are byte-identical either way, so —
+    #: like the resource limits — the flag is excluded from the cache
+    #: identity.
     use_refinement: bool = False
     #: Directory of a :class:`repro.engine.cache.ResultCache` whose
     #: refine-cert domain the refinement prescreen may replay verified
     #: certificates from (and persist new ones to).  Purely a perf hint —
-    #: cached material is always re-verified — so, like ``workers``, it is
-    #: excluded from the cache identity.  Empty/None disables the store.
+    #: cached material is always re-verified — so it is excluded from the
+    #: cache identity too.  Empty/None disables the store.
     cert_cache_dir: Optional[str] = None
     name: str = ""
     stg_hash: str = ""
@@ -257,9 +248,7 @@ def _run_ilp(job: VerificationJob):
     from repro.core import check_csc, check_normalcy, check_usc
 
     if job.property == "normalcy":
-        report = check_normalcy(
-            job.stg, node_budget=job.node_budget, workers=job.workers
-        )
+        report = check_normalcy(job.stg, node_budget=job.node_budget)
         violating = report.violating_signals()
         witness = (
             f"abnormal signals: {', '.join(violating)}" if violating else None
@@ -283,8 +272,6 @@ def _run_ilp(job: VerificationJob):
     report = check(
         job.stg,
         node_budget=job.node_budget,
-        workers=job.workers,
-        use_facts=job.use_facts,
         use_refinement=job.use_refinement,
         cert_cache=cert_cache,
     )

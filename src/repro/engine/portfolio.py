@@ -17,9 +17,10 @@ verdict is returned immediately — with the machine-checkable certificate
 attached — and the pool never sees the job.  Advisory diagnostics are left
 to ``repro-stg lint``.  (The cache is consulted first: a disk read is
 cheaper still than linting.)  Jobs with
-``use_facts=True`` then warm the structural :class:`~repro.analysis.FactBase`
-(once per STG hash, persisted in the result cache) so the racing ilp
-engines load it instead of recomputing.
+``use_refinement=True`` then warm the structural
+:class:`~repro.analysis.FactBase` (once per STG hash, persisted in the
+result cache), which refinement's licence check and cut separation read,
+so the racing ilp engines load it instead of recomputing.
 
 :func:`run_jobs` is also the plain driver for single-engine jobs (a
 portfolio of one); every job flows cache → lint → analysis → pool →
@@ -118,9 +119,9 @@ def run_jobs(
             if settled is not None:
                 results[index] = settled
                 continue
-        if job.use_facts or job.use_refinement:
-            # refinement jobs also touch the FactBase (DCF licence check,
-            # tier-1 cut separation), so warm it for them too
+        if job.use_refinement:
+            # refinement reads the FactBase (DCF licence check, trap/siphon
+            # cut separation), so warm it once per STG hash
             _analysis_stage(job, events, cache, analyzed)
         failures[index] = []
         for engine in job.engines:
@@ -176,7 +177,7 @@ def _analysis_stage(
     cache: Optional[ResultCache],
     analyzed: Dict[str, bool],
 ) -> None:
-    """Warm the FactBase of a ``use_facts`` job, once per STG hash.
+    """Warm the FactBase of a ``use_refinement`` job, once per STG hash.
 
     Purely an optimisation pass: facts land in the in-process memo and (when
     a cache is configured) in the result cache, where the racing ilp engines

@@ -10,12 +10,9 @@ Checkable cases then run:
 
 * **differential**: every configured engine against the explicit state
   graph ground truth, per property — sound verdicts must agree;
-* **config axes**: the ilp engine re-run with ``use_facts``,
-  ``use_refinement``, ``workers`` and the result cache toggled, asserting
-  the determinism contracts pinned by the engine docs (byte-identical
-  verdicts and witnesses everywhere; exact ``SearchStats`` parity on the
-  workers axis for fully consumed searches — a found conflict cancels
-  shards mid-walk, so node counts are only pinned when the property holds);
+* **config axes**: the ilp engine re-run with ``use_refinement`` and the
+  result cache toggled, asserting the determinism contracts pinned by the
+  engine docs (byte-identical verdicts and witnesses);
 * **lint**: the engine's stage zero (:func:`repro.lint.decide`) against
   the full ``run_lint`` report's decisions, against the ground truth, and
   through an independent certificate replay;
@@ -67,10 +64,9 @@ class OracleConfig:
     """Bounds and sampling rates for one campaign.
 
     The expensive axes are sampled by case index rather than run on every
-    case: the workers axis forks processes (hundreds of ms per case), the
-    cache axis writes to disk.  Sampling by index keeps the schedule
-    deterministic — case ``s7-c64`` runs the same oracles in every campaign
-    that reaches it.
+    case: the refine axis solves LPs, the cache axis writes to disk.
+    Sampling by index keeps the schedule deterministic — case ``s7-c64``
+    runs the same oracles in every campaign that reaches it.
     """
 
     engines: Tuple[str, ...] = ("ilp", "sat", "bdd")
@@ -81,10 +77,8 @@ class OracleConfig:
     #: undecided outcome, not a divergence).
     node_budget: int = 200_000
     max_events: int = 5_000
-    facts_every: int = 4
     refine_every: int = 8
     cache_every: int = 8
-    workers_every: int = 64
     #: Parser robustness probes per case (0 disables the parser oracle).
     parser_probes: int = 4
 
@@ -95,7 +89,7 @@ class Divergence:
 
     case_id: str
     oracle: str      # "differential" | "lint" | "axis" | "metamorphic" | "crash"
-    subject: str     # e.g. "sat-vs-sg:csc", "workers:usc", "roundtrip"
+    subject: str     # e.g. "sat-vs-sg:csc", "refine:usc", "roundtrip"
     detail: str      # case-specific explanation
     signature: str   # (oracle, subject, coarse cause) — the corpus dedup key
 
@@ -166,16 +160,12 @@ def _ilp_report(
     stg: STG,
     prop: str,
     config: OracleConfig,
-    workers: int = 0,
-    use_facts: bool = False,
     use_refinement: bool = False,
 ) -> CodingReport:
     check = check_usc if prop == "usc" else check_csc
     return check(
         stg,
         node_budget=config.node_budget,
-        workers=workers,
-        use_facts=use_facts,
         use_refinement=use_refinement,
         unfolding_options=UnfoldingOptions(max_events=config.max_events),
     )
@@ -185,17 +175,6 @@ def _report_fingerprint(report: CodingReport) -> Tuple[Any, ...]:
     """The byte-comparable part of a report (the determinism contract)."""
     witness = report.witness.describe() if report.witness is not None else None
     return (report.holds, witness, report.usc_only_candidates)
-
-
-def _stats_fingerprint(report: CodingReport) -> Tuple[int, ...]:
-    stats = report.search_stats
-    return (
-        stats.nodes,
-        stats.leaves,
-        stats.pruned_balance,
-        stats.pruned_structure,
-        stats.solutions,
-    )
 
 
 # -- the oracle pipeline ------------------------------------------------------
@@ -362,72 +341,52 @@ def _lint_oracle(
 def _axis_oracles(
     case: FuzzCase, config: OracleConfig, outcome: CaseOutcome
 ) -> None:
-    """Re-run the ilp engine with config axes toggled; results must agree."""
-    axes = []
-    if config.facts_every and case.index % config.facts_every == 0:
-        axes.append(("facts", {"use_facts": True}, False))
-    if config.refine_every and case.index % config.refine_every == 0:
-        axes.append(("refine", {"use_refinement": True}, False))
-    if config.workers_every and case.index % config.workers_every == 0:
-        axes.append(("workers", {"workers": 2}, True))
+    """Re-run the ilp engine with refinement and the result cache toggled;
+    results must agree."""
+    run_refine = config.refine_every and case.index % config.refine_every == 0
     run_cache = config.cache_every and case.index % config.cache_every == 0
-    if not axes and not run_cache:
-        return
-
     for prop in config.properties:
-        baseline: Optional[CodingReport] = None
-        if axes:
-            try:
-                baseline = _ilp_report(case.stg, prop, config)
-            except ReproError:
-                continue  # undecided baseline: nothing to compare against
-            except Exception as exc:
-                outcome.divergences.append(
-                    _crash(case.case_id, f"axis.baseline:{prop}", exc)
-                )
-                continue
-        for axis_name, kwargs, compare_stats in axes:
-            outcome.oracle_runs += 1
-            try:
-                variant = _ilp_report(case.stg, prop, config, **kwargs)
-            except ReproError:
-                continue
-            except Exception as exc:
-                outcome.divergences.append(
-                    _crash(case.case_id, f"axis.{axis_name}:{prop}", exc)
-                )
-                continue
-            assert baseline is not None
-            if _report_fingerprint(variant) != _report_fingerprint(baseline):
-                outcome.divergences.append(
-                    _mismatch(
-                        case.case_id,
-                        "axis",
-                        f"{axis_name}:{prop}",
-                        f"baseline {_report_fingerprint(baseline)!r} != "
-                        f"{axis_name} {_report_fingerprint(variant)!r}",
-                    )
-                )
-            # SearchStats parity is only pinned for fully consumed
-            # enumerations (docs/parallelism.md): a found conflict cancels
-            # shards mid-walk, so node counts legitimately differ there.
-            if (
-                compare_stats
-                and baseline.holds
-                and variant.holds
-                and _stats_fingerprint(variant) != _stats_fingerprint(baseline)
-            ):
-                outcome.divergences.append(
-                    _mismatch(
-                        case.case_id,
-                        "axis",
-                        f"{axis_name}-stats:{prop}",
-                        f"SearchStats {_stats_fingerprint(baseline)!r} != "
-                        f"{_stats_fingerprint(variant)!r}",
-                    )
-                )
+        if run_refine and not _refine_axis(case, prop, config, outcome):
+            continue  # undecided baseline: nothing to compare against
         if run_cache:
             _cache_axis(case, prop, config, outcome)
+
+
+def _refine_axis(
+    case: FuzzCase, prop: str, config: OracleConfig, outcome: CaseOutcome
+) -> bool:
+    """The refined ilp report must equal the plain one byte for byte.
+
+    Returns ``False`` when the plain baseline is undecided or crashed.
+    """
+    try:
+        baseline = _ilp_report(case.stg, prop, config)
+    except ReproError:
+        return False
+    except Exception as exc:
+        outcome.divergences.append(
+            _crash(case.case_id, f"axis.baseline:{prop}", exc)
+        )
+        return False
+    outcome.oracle_runs += 1
+    try:
+        variant = _ilp_report(case.stg, prop, config, use_refinement=True)
+    except ReproError:
+        return True
+    except Exception as exc:
+        outcome.divergences.append(_crash(case.case_id, f"axis.refine:{prop}", exc))
+        return True
+    if _report_fingerprint(variant) != _report_fingerprint(baseline):
+        outcome.divergences.append(
+            _mismatch(
+                case.case_id,
+                "axis",
+                f"refine:{prop}",
+                f"baseline {_report_fingerprint(baseline)!r} != "
+                f"refine {_report_fingerprint(variant)!r}",
+            )
+        )
+    return True
 
 
 def _cache_axis(

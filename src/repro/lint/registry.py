@@ -122,8 +122,7 @@ class RuleContext:
         """The structural :class:`~repro.analysis.FactBase` of the STG.
 
         Memoized per content hash inside :func:`repro.analysis.analyze`, so
-        the A4xx rules, the verifier's ``use_facts`` path and the CLI all
-        share one computation.
+        the A4xx rules, refinement and the CLI all share one computation.
         """
         if self._facts is None:
             from repro.analysis import analyze

@@ -5,8 +5,8 @@ Unlike the S2xx heuristics these rules consume the shared
 :class:`~repro.analysis.FactBase` — every negative claim they rely on
 (never co-enabled, dead transition, trap/siphon structure) is a
 :class:`~repro.analysis.Fact` with a machine-checkable justification.  The
-FactBase is memoized per content hash, so the verifier's ``use_facts`` path
-and the ``repro-stg analyze`` command reuse the same computation.
+FactBase is memoized per content hash, so refinement and the
+``repro-stg analyze`` command reuse the same computation.
 
 Like the pre-filter tier, the rules stay silent on nets beyond the
 context's size budget rather than stall the pipeline.

@@ -10,7 +10,7 @@ trap/siphon inequality as a cut and re-solve.  Combined with the integral
 rounding step (a token-flow-difference bound below 1 proves the integral
 difference is zero), the loop either *refutes* the conflict system with a
 replayable exact-arithmetic certificate or falls through to the exact
-search with a per-place movability classification the search can prune on.
+search, stopping at the first place it cannot certify.
 
 Modules
 =======

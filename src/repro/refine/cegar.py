@@ -18,9 +18,9 @@ then sorts each optimum into one of three buckets:
   with exact integer arithmetic, added as a cut for **both** Parikh copies,
   and the objective re-solved — the counterexample-guided step.
 * **optimum ≥ 1, no separating cut** — the place is *movable*; the
-  prescreen cannot refute and the exact search must run.  (Its verdict is
-  still useful: certified-immovable places feed the in-search bound
-  tightening of the window/pair searches.)
+  prescreen cannot refute and the exact search must run.  A refutation
+  needs every place certified, so the loop stops at the first place it
+  cannot certify instead of classifying the rest.
 
 If every place with a non-zero flow row is certified immovable in both
 directions, the conflict system is refuted outright and the loop emits a
@@ -53,9 +53,9 @@ certificate stays byte-identical to the from-scratch reference path:
   sequence identical to the cold run's.
 
 SciPy (HiGHS) is an optional dependency: without it the loop degrades to
-an inconclusive outcome (``reason="scipy-unavailable"``) whose only fixed
-places are the trivially flowless ones — the caller falls through to the
-exact search, verdicts unchanged.
+an inconclusive outcome (``reason="scipy-unavailable"``) unless every place
+is trivially flowless — the caller falls through to the exact search,
+verdicts unchanged.
 """
 
 from __future__ import annotations
@@ -99,7 +99,6 @@ class RefinementOutcome:
 
     refuted: bool                    # conflict system proved infeasible
     certificate: Optional[RefinementCertificate]
-    fixed_places: List[bool]         # per original place: certified immovable
     cuts: List[Cut] = field(default_factory=list)
     iterations: int = 0              # CEGAR iterations (spurious solutions met)
     lp_calls: int = 0
@@ -108,10 +107,6 @@ class RefinementOutcome:
     warm_hits: int = 0               # remembered sign guess certified first try
     cert_cache_hits: int = 0         # bounds replayed from the cert store
     reason: str = ""
-
-    @property
-    def movable_places(self) -> List[bool]:
-        return [not fixed for fixed in self.fixed_places]
 
 
 def _rationalise(value: float, limit: int) -> Fraction:
@@ -311,27 +306,24 @@ def refine_prescreen(
     relaxation = build_relaxation(context)
     net = relaxation.net
     num_places = net.num_places
-    trivially_fixed = [not relaxation.flow[p].any() for p in range(num_places)]
+    flowless = [not relaxation.flow[p].any() for p in range(num_places)]
     solver = make_sweep_solver(relaxation, incremental=incremental)
     if solver is None:
         return RefinementOutcome(
-            refuted=all(trivially_fixed),
+            refuted=all(flowless),
             certificate=RefinementCertificate(
                 stg_name=context.stg.name, num_vars=context.num_vars
             )
-            if all(trivially_fixed)
+            if all(flowless)
             else None,
-            fixed_places=trivially_fixed,
-            reason="refuted" if all(trivially_fixed) else "scipy-unavailable",
+            reason="refuted" if all(flowless) else "scipy-unavailable",
         )
 
     n = context.num_vars
     lp_separation_misses = 0
-    fixed = list(trivially_fixed)
+    all_fixed = True
     bounds: List[DualBound] = []
-    outcome = RefinementOutcome(
-        refuted=False, certificate=None, fixed_places=fixed
-    )
+    outcome = RefinementOutcome(refuted=False, certificate=None)
     reason = "refuted"
     stg_hash = context.stg.content_hash() if cert_store is not None else ""
     known_cuts = (
@@ -346,7 +338,7 @@ def refine_prescreen(
     #: cut-log depth at certification, bound).
     to_store: List[Tuple[str, int, int, int, DualBound]] = []
     for place in range(num_places):
-        if trivially_fixed[place]:
+        if flowless[place]:
             continue
         place_name = net.place_name(place)
         place_fixed = True
@@ -488,9 +480,13 @@ def refine_prescreen(
                 obs.incr("refine.cuts")
             if not place_fixed:
                 break  # one movable direction already disqualifies the place
-        fixed[place] = place_fixed
+        if not place_fixed:
+            # a refutation needs every place certified: stop at the first
+            # one that is not
+            all_fixed = False
+            break
 
-    if all(fixed):
+    if all_fixed:
         certificate = RefinementCertificate(
             stg_name=context.stg.name,
             num_vars=context.num_vars,
@@ -504,7 +500,6 @@ def refine_prescreen(
             outcome.reason = "refuted"
             obs.incr("refine.refuted")
         else:
-            outcome.fixed_places = trivially_fixed
             outcome.reason = "certificate-replay-failed"
             to_store = []
     else:

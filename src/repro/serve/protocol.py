@@ -17,11 +17,12 @@ A check request names its STG in exactly one of three ways:
 
 Request options mirror the ``repro-stg check`` flags: ``properties`` (a list
 over usc/csc/normalcy), ``engines`` (the portfolio to race), ``node_budget``,
-``deadline`` (per-job wall-clock seconds) and ``use_facts`` (let the ilp
-engine consume the structural facts of :mod:`repro.analysis`; verdicts are
-byte-identical either way).  Validation failures raise
-:class:`ProtocolError`, which the HTTP layer maps to a 400 with a JSON error
-payload; nothing in this module raises anything else at a client's fault.
+``deadline`` (per-job wall-clock seconds) and ``use_refinement`` (run the
+:mod:`repro.refine` prescreen in the ilp engine; verdicts are
+byte-identical either way).  Unknown keys are ignored.  Validation
+failures raise :class:`ProtocolError`, which the HTTP layer maps to a 400
+with a JSON error payload; nothing in this module raises anything else at
+a client's fault.
 
 The canonical JSON STG form (``repro-stg-json/1``) round-trips through
 :func:`repro.stg.hashing.canonical_stg_hash`: serialising and re-parsing an
@@ -212,7 +213,6 @@ class CheckRequest:
         engines: Tuple[str, ...] = ("ilp",),
         node_budget: Optional[int] = None,
         deadline: Optional[float] = None,
-        use_facts: bool = False,
         use_refinement: bool = False,
     ):
         self.stg = stg
@@ -221,7 +221,6 @@ class CheckRequest:
         self.engines = engines
         self.node_budget = node_budget
         self.deadline = deadline
-        self.use_facts = use_facts
         self.use_refinement = use_refinement
         self.stg_hash = stg.content_hash()
 
@@ -246,7 +245,6 @@ class CheckRequest:
                     engines=self.engines,
                     timeout=deadline,
                     node_budget=self.node_budget,
-                    use_facts=self.use_facts,
                     use_refinement=self.use_refinement,
                     cert_cache_dir=(
                         cert_cache_dir if self.use_refinement else None
@@ -273,7 +271,6 @@ class CheckRequest:
             self.engines,
             self.node_budget,
             self.deadline,
-            self.use_facts,
             self.use_refinement,
         )
 
@@ -355,10 +352,6 @@ def parse_check_request(payload: Any) -> CheckRequest:
             raise ProtocolError("'deadline' must be a positive number of seconds")
         deadline = float(deadline)
 
-    use_facts = payload.get("use_facts", False)
-    if not isinstance(use_facts, bool):
-        raise ProtocolError("'use_facts' must be a boolean")
-
     use_refinement = payload.get("use_refinement", False)
     if not isinstance(use_refinement, bool):
         raise ProtocolError("'use_refinement' must be a boolean")
@@ -370,7 +363,6 @@ def parse_check_request(payload: Any) -> CheckRequest:
         engines=tuple(dict.fromkeys(engines)),
         node_budget=node_budget,
         deadline=deadline,
-        use_facts=use_facts,
         use_refinement=use_refinement,
     )
     # Fail fast on unknown engine names: building the jobs validates them.

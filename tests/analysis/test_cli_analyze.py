@@ -1,4 +1,4 @@
-"""The ``repro-stg analyze`` subcommand and the ``check --facts`` flag."""
+"""The ``repro-stg analyze`` subcommand."""
 
 import json
 
@@ -50,14 +50,3 @@ class TestAnalyze:
 
     def test_budget_flags_accepted(self, capsys):
         assert main(["analyze", "RING", "--set-size", "4", "--set-count", "8"]) == 0
-
-
-class TestCheckFacts:
-    def test_facts_flag_preserves_verdict(self, vme_file, capsys):
-        plain = main(["check", vme_file, "-p", "usc", "-p", "csc"])
-        plain_out = capsys.readouterr().out
-        with_facts = main(["check", vme_file, "-p", "usc", "-p", "csc", "--facts"])
-        facts_out = capsys.readouterr().out
-        assert with_facts == plain == 1
-        for line in ("USC: CONFLICT", "CSC: CONFLICT"):
-            assert line in plain_out and line in facts_out

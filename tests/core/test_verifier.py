@@ -117,6 +117,19 @@ class TestOptions:
         with pytest.raises(SolverLimitError):
             check_usc(stg, node_budget=10)
 
+    def test_csc_node_budget_covers_the_whole_check(self):
+        # RING csc: the window pre-pass finds only USC-only windows, so the
+        # pair fallback runs too; together they visit 235 nodes
+        from repro.unfolding import unfold
+
+        prefix = unfold(TABLE1_BENCHMARKS["RING"]())
+        for budget in range(185, 235):
+            with pytest.raises(SolverLimitError):
+                check_csc(prefix, node_budget=budget)
+        report = check_csc(prefix, node_budget=235)
+        assert report.holds
+        assert report.search_stats.nodes == 235
+
     def test_window_search_ablation_agrees(self):
         for name in ("RING", "CF-SYM-A-CSC", "DUP-4PH-A"):
             stg = TABLE1_BENCHMARKS[name]()

@@ -10,8 +10,8 @@ from repro.stg.hashing import canonical_stg_hash
 
 #: A cheap schedule for in-suite campaigns: no engine forks, no disk.
 LEAN = OracleConfig(
-    engines=(), parser_probes=2, facts_every=0, refine_every=0,
-    cache_every=0, workers_every=0, max_states=512,
+    engines=(), parser_probes=2, refine_every=0, cache_every=0,
+    max_states=512,
 )
 
 
@@ -58,8 +58,7 @@ class TestCorpusWiring:
     def test_divergences_reach_the_corpus(self, liar, tmp_path):
         config = OracleConfig(
             engines=(liar,), properties=("usc",), parser_probes=0,
-            facts_every=0, refine_every=0, cache_every=0, workers_every=0,
-            max_states=512,
+            refine_every=0, cache_every=0, max_states=512,
         )
         corpus = CorpusStore(tmp_path / "corpus")
         result = run_campaign(0, 8, config, corpus=corpus)
@@ -73,8 +72,7 @@ class TestCorpusWiring:
     def test_no_corpus_keeps_counters_zero(self, liar):
         config = OracleConfig(
             engines=(liar,), properties=("usc",), parser_probes=0,
-            facts_every=0, refine_every=0, cache_every=0, workers_every=0,
-            max_states=512,
+            refine_every=0, cache_every=0, max_states=512,
         )
         summary = run_campaign(0, 4, config).summary
         assert summary.divergences > 0

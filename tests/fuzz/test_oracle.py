@@ -187,8 +187,8 @@ class TestLintOracle:
 
 class TestAxes:
     def test_axes_run_on_sampled_indices(self):
-        # index 0 samples the facts/refine/cache axes (and workers at 0 % 64)
-        config = OracleConfig(engines=(), parser_probes=0, workers_every=0)
+        # index 0 samples the refine and cache axes
+        config = OracleConfig(engines=(), parser_probes=0)
         outcome = run_oracles(_case_for(vme_bus(), index=0), config)
         assert outcome.divergences == []
         assert outcome.checkable

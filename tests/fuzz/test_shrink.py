@@ -26,7 +26,7 @@ def liar():
 
 
 def _vme_case():
-    # index 1 keeps the sampled axes (facts/refine/cache/workers) out of the
+    # index 1 keeps the sampled axes (refine/cache) out of the
     # predicate, so each shrink check costs one liar run plus the guards
     return FuzzCase(
         seed=0, index=1, base="handmade", mutations=(), preserving=True,

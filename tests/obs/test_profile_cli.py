@@ -21,6 +21,23 @@ def clean_tracer():
     tracer.reset()
 
 
+class TestTracerHygiene:
+    """A command that switched the default tracer on switches it off and
+    drops what it recorded, so nothing leaks into the next caller."""
+
+    def test_profile_leaves_no_spans(self, capsys):
+        assert main(["profile", "RING", "--json"]) == 0
+        assert not obs.enabled()
+        assert obs.get_tracer().spans == []
+
+    def test_check_trace_out_leaves_no_spans(self, tmp_path, capsys):
+        trace = tmp_path / "check.jsonl"
+        main(["check", VME_G, "--trace-out", str(trace)])
+        assert trace.exists()
+        assert not obs.enabled()
+        assert obs.get_tracer().spans == []
+
+
 class TestProfileText:
     def test_phase_table_and_verdicts(self, capsys):
         assert main(["profile", VME_G]) == 0

@@ -1,10 +1,8 @@
 """Golden equivalence: use_refinement must never change a verdict or witness.
 
-Same contract (and same fingerprint) as tests/analysis/test_equivalence.py:
-the CEGAR prescreen either refutes the conflict system outright — returning
+The CEGAR prescreen either refutes the conflict system outright — returning
 the same "holds" verdict the search would have produced, with zero search
-nodes — or hands the search a movability classification that only removes
-equal-marking candidates the checkers discard anyway.  Either way verdicts,
+nodes — or leaves the exact search to run unchanged.  Either way verdicts,
 witnesses and USC-only candidate counts are byte-identical.
 """
 

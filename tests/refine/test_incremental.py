@@ -30,11 +30,10 @@ def _context(stg):
 
 
 def _fingerprint(outcome):
-    """Everything observable: verdict, movability, certificate bytes."""
+    """Everything observable: verdict, cuts, certificate bytes."""
     certificate = outcome.certificate
     return (
         outcome.refuted,
-        tuple(outcome.movable_places),
         tuple(cut.to_dict().items() for cut in outcome.cuts),
         None
         if certificate is None

@@ -74,7 +74,6 @@ class TestBenchAxis:
         assert case.case_id == "token-ring/n=4/usc"
         refined = case.with_refine(True)
         assert refined.case_id == "token-ring/n=4/usc/r=1"
-        assert refined.with_facts(True).case_id == "token-ring/n=4/usc/f=1/r=1"
         assert refined.refine and not case.refine
 
     def test_run_suite_expands_the_axis(self, monkeypatch):
@@ -87,8 +86,6 @@ class TestBenchAxis:
                 "family": case.family,
                 "size": case.size,
                 "property": case.prop,
-                "workers": case.workers,
-                "facts": case.facts,
                 "refine": case.refine,
                 "holds": True,
                 "repeats": repeat,
@@ -112,7 +109,6 @@ class TestBenchAxis:
             "family": "x",
             "size": 1,
             "property": "usc",
-            "workers": 0,
             "refine": "yes",
             "holds": True,
             "repeats": 1,

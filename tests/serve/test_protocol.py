@@ -154,6 +154,16 @@ class TestParseCheckRequest:
         assert base.dedup_key() == same.dedup_key()
         assert base.dedup_key() != other.dedup_key()
 
+    def test_retired_use_facts_field_is_ignored(self):
+        # like any unknown key: accepted, dropped, and no separate dedup slot
+        plain = parse_check_request({"schema": SCHEMA, "model": "RING"})
+        for value in (True, "yes"):
+            legacy = parse_check_request(
+                {"schema": SCHEMA, "model": "RING", "use_facts": value}
+            )
+            assert legacy.dedup_key() == plain.dedup_key()
+            assert not hasattr(legacy.jobs()[0], "use_facts")
+
 
 class TestResultsAndExitCodes:
     def test_result_to_dict_roundtrips_engine_outcome(self):

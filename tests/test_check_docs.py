@@ -1,4 +1,5 @@
-"""The docs drift checker: rule sync, link resolution, reachability."""
+"""The docs drift checker: rule and phase sync, link resolution,
+reachability."""
 
 import importlib.util
 from pathlib import Path
@@ -84,3 +85,59 @@ class TestReachability:
     def test_missing_index_flagged(self, fake_docs):
         (problem,) = checker.reachability_problems()
         assert "index.md is missing" in problem
+
+
+class TestPhaseSync:
+    TABLE = (
+        "## Phases\n\n"
+        "| phase | prefixes |\n"
+        "|---|---|\n"
+        "{rows}"
+        "| `total` | summed duration of *root* spans |\n"
+    )
+
+    def _write(self, fake_docs, rows):
+        from repro.obs.tracer import PHASE_PREFIXES
+
+        body = "".join(
+            f"| `{phase}` | {', '.join(f'`{p}`' for p in prefixes)} |\n"
+            for phase, prefixes in rows(dict(PHASE_PREFIXES)).items()
+        )
+        (fake_docs / "observability.md").write_text(
+            self.TABLE.format(rows=body)
+        )
+
+    def test_repo_table_in_sync(self):
+        assert checker.phase_sync_problems() == []
+
+    def test_complete_table_passes(self, fake_docs):
+        self._write(fake_docs, lambda phases: phases)
+        assert checker.phase_sync_problems() == []
+
+    def test_missing_phase_flagged(self, fake_docs):
+        def drop_fuzz(phases):
+            del phases["fuzz"]
+            return phases
+
+        self._write(fake_docs, drop_fuzz)
+        (problem,) = checker.phase_sync_problems()
+        assert "'fuzz'" in problem and "no row" in problem
+
+    def test_stale_phase_flagged(self, fake_docs):
+        self._write(fake_docs, lambda phases: {**phases, "gone": ("gone.",)})
+        (problem,) = checker.phase_sync_problems()
+        assert "'gone'" in problem and "no such phase" in problem
+
+    def test_wrong_prefixes_flagged(self, fake_docs):
+        self._write(fake_docs, lambda phases: {**phases, "solver": ("search.",)})
+        (problem,) = checker.phase_sync_problems()
+        assert "'solver'" in problem and "lp." in problem
+
+    def test_other_tables_ignored(self, fake_docs):
+        self._write(fake_docs, lambda phases: phases)
+        page = fake_docs / "observability.md"
+        page.write_text(
+            "| span | where |\n|---|---|\n| `search.window` | core |\n\n"
+            + page.read_text()
+        )
+        assert checker.phase_sync_problems() == []

@@ -1,7 +1,8 @@
 #!/usr/bin/env python
-"""Docs drift checker: rule catalogue sync, link resolution, reachability.
+"""Docs drift checker: rule catalogue and phase table sync, link
+resolution, reachability.
 
-Three independent guarantees, all enforced in CI next to ruff/mypy:
+Four independent guarantees, all enforced in CI next to ruff/mypy:
 
 1. **Rule catalogue sync** (the original ``check_rule_docs`` contract).
    The rule tables in docs/linting.md carry one row per rule id
@@ -17,6 +18,11 @@ Three independent guarantees, all enforced in CI next to ruff/mypy:
 
 3. **Reachability.**  Every page under ``docs/`` must be reachable from
    docs/index.md by following relative links — an orphaned page fails.
+
+4. **Phase table sync.**  The ``| phase | prefixes |`` table in
+   docs/observability.md lists exactly the phases of
+   ``repro.obs.tracer.PHASE_PREFIXES`` plus ``total``, each with the span
+   prefixes it folds — checked in both directions like the rule catalogue.
 
 Run from the repository root::
 
@@ -182,18 +188,72 @@ def reachability_problems() -> List[str]:
     ]
 
 
+# -- phase table sync ----------------------------------------------------------
+
+def documented_phases(text: str) -> Dict[str, Set[str]]:
+    """The ``| phase | prefixes |`` table: phase -> backticked prefixes."""
+    rows: Dict[str, Set[str]] = {}
+    in_table = False
+    for line in prose_lines(text):
+        stripped = line.strip()
+        if not stripped.startswith("|"):
+            in_table = False
+            continue
+        cells = [cell.strip() for cell in stripped.strip("|").split("|")]
+        if cells[:2] == ["phase", "prefixes"]:
+            in_table = True
+            continue
+        if not in_table or len(cells) < 2 or set(cells[0]) <= set("-: "):
+            continue
+        rows[cells[0].strip("`")] = set(re.findall(r"`([^`]+)`", cells[1]))
+    return rows
+
+
+def phase_sync_problems() -> List[str]:
+    sys.path.insert(0, str(ROOT / "src"))
+    from repro.obs.tracer import PHASE_PREFIXES
+
+    expected = {phase: set(prefixes) for phase, prefixes in PHASE_PREFIXES.items()}
+    expected["total"] = set()
+    page = DOCS / "observability.md"
+    documented = documented_phases(page.read_text(encoding="utf-8"))
+
+    problems: List[str] = []
+    for phase in sorted(set(expected) - set(documented)):
+        problems.append(
+            f"phase {phase!r} is in PHASE_PREFIXES but has no row in the "
+            f"docs/observability.md phase table"
+        )
+    for phase in sorted(set(documented) - set(expected)):
+        problems.append(
+            f"docs/observability.md documents phase {phase!r} but "
+            f"PHASE_PREFIXES has no such phase"
+        )
+    for phase in sorted(set(documented) & set(expected)):
+        if documented[phase] != expected[phase]:
+            problems.append(
+                f"phase {phase!r} folds {sorted(expected[phase])} in code but "
+                f"{sorted(documented[phase])} in docs/observability.md"
+            )
+    return problems
+
+
 def main() -> int:
     pages = sorted(DOCS.glob("*.md")) + [ROOT / "README.md"]
     problems = (
-        rule_sync_problems() + link_problems(pages) + reachability_problems()
+        rule_sync_problems()
+        + phase_sync_problems()
+        + link_problems(pages)
+        + reachability_problems()
     )
     if problems:
         for problem in problems:
             print(f"check_docs: {problem}", file=sys.stderr)
         return 1
     print(
-        f"check_docs: {len(pages)} pages checked — rule catalogue in sync, "
-        f"all links resolve, every docs page reachable from the index"
+        f"check_docs: {len(pages)} pages checked — rule catalogue and phase "
+        f"table in sync, all links resolve, every docs page reachable from "
+        f"the index"
     )
     return 0
 

@@ -17,9 +17,11 @@ with exact rational arithmetic.  Two kinds exist:
     The claim that over the polyhedron ``{x1, x2 >= 0, M0 + I x_i >= 0,
     B (x2 - x1) = 0}`` every component of ``I (x2 - x1)`` has maximum and
     minimum 0 — i.e. the state-equation relaxation admits no code-preserving
-    marking change.  Verification re-solves the same LPs with the exact
-    rational simplex; the certificate is a replayable claim rather than a
-    succinct witness (the simplex exposes no duals).
+    marking change.  Verification re-solves the LPs with the exact rational
+    simplex, over the polyhedron's tangent cone at the origin (the same
+    answer, see :func:`state_equation_usc_safe`); the certificate is a
+    replayable claim rather than a succinct witness (the simplex exposes no
+    duals).
 """
 
 from __future__ import annotations
@@ -182,12 +184,21 @@ def state_equation_usc_safe(stg: STG) -> bool:
     """Exact LP check: no code-preserving marking change is state-equation
     feasible.
 
-    Variables ``x1, x2 >= 0`` (two Parikh vectors), constraints
-    ``M0 + I x_i >= 0`` and ``B (x2 - x1) = 0``; for every place the token
-    flow difference ``(I (x2 - x1))_p`` is maximised and minimised.  All
-    optima 0 proves that any two reachable markings with equal signal codes
-    coincide, hence USC (and CSC) hold.  Sound but incomplete: a nonzero or
-    unbounded optimum is *inconclusive*, never a conflict verdict.
+    Over the polyhedron of Parikh-vector pairs ``x1, x2 >= 0`` with
+    ``M0 + I x_i >= 0`` and ``B (x2 - x1) = 0``, every component of the
+    token-flow difference ``I (x2 - x1)`` must have maximum and minimum 0.
+    All optima 0 proves that any two reachable markings with equal signal
+    codes coincide, hence USC (and CSC) hold.  Sound but incomplete: a
+    nonzero or unbounded optimum is *inconclusive*, never a conflict
+    verdict.
+
+    The polyhedron contains the origin and is convex, so a linear objective
+    has maximum 0 over it iff it has maximum 0 over its tangent cone at the
+    origin: the same rows with every rhs 0, keeping only the rows tight at
+    the origin (the balance equalities and the places ``M0`` leaves
+    unmarked).  That is the system solved here, built once: written as
+    homogeneous ``<=`` rows its slack basis is feasible, so no LP needs a
+    phase 1, and each LP ends at 0 or unbounded.
     """
     from repro.lp import LinearProgram, solve_lp
     from repro.petri.incidence import incidence_matrix
@@ -196,36 +207,34 @@ def state_equation_usc_safe(stg: STG) -> bool:
     n = net.num_transitions
     if n == 0:
         return True
-    incidence = incidence_matrix(net)
-    balance = balance_matrix(stg)
+    incidence = incidence_matrix(net).tolist()
     initial = net.initial_marking
-    constraints = []
-    for row in balance:
-        if row.any():
-            coeffs = [-int(c) for c in row] + [int(c) for c in row]
-            constraints.append((coeffs, "==", 0))
-    for p in range(net.num_places):
-        row = [int(c) for c in incidence[p]]
+    zeros = [0] * n
+    rows = []
+    for row in balance_matrix(stg).tolist():
+        if any(row):
+            negated = [-c for c in row]
+            rows.append(negated + row)  # B (x2 - x1) <= 0
+            rows.append(row + negated)  # B (x2 - x1) >= 0
+    for p, row in enumerate(incidence):
+        if any(row) and not initial[p]:
+            negated = [-c for c in row]
+            rows.append(negated + zeros)  # (I x1)_p >= 0
+            rows.append(zeros + negated)  # (I x2)_p >= 0
+    cone = LinearProgram(
+        num_vars=2 * n,
+        rows=rows,
+        senses=["<="] * len(rows),
+        rhs=[0] * len(rows),
+        objective=[],
+    )
+    for row in incidence:
         if not any(row):
             continue
-        bound = -int(initial[p])
-        constraints.append((row + [0] * n, ">=", bound))
-        constraints.append(([0] * n + row, ">=", bound))
-
-    for p in range(net.num_places):
-        row = incidence[p]
-        if not row.any():
-            continue
-        objective = [Fraction(-int(c)) for c in row] + [
-            Fraction(int(c)) for c in row
-        ]
-        for sign in (1, -1):
-            problem = LinearProgram.feasibility(2 * n, constraints)
-            problem.objective = [sign * c for c in objective]
-            result = solve_lp(problem)
-            if not result.feasible:
-                return False  # x1 = x2 = 0 is always feasible; be paranoid
-            if result.objective_value is None or result.objective_value > 0:
+        flow = [-c for c in row] + row  # (I (x2 - x1))_p
+        for objective in (flow, [-c for c in flow]):
+            cone.objective = objective
+            if solve_lp(cone).objective_value != 0:
                 return False
     return True
 

@@ -13,9 +13,11 @@ certificate decides *both* properties positively.
 
 ``C301`` (affine-code certificate) is the cheap exact-kernel test: if the
 marking is an affine function of the signal code, distinct markings always
-differ in code.  ``C302`` (state-equation LP) is strictly stronger but
-costs ``2 |P|`` exact-rational LP solves, so it runs only when C301 was
-inconclusive and the net fits the size budget.
+differ in code.  ``C302`` (state-equation LP) is strictly stronger and
+costlier: exact-rational LPs over the tangent cone of the relaxation, up to
+``2 |P|`` of them to certify, though the first inconclusive one stops it
+(usually the first).  It runs only when C301 was inconclusive and the net
+fits the size budget.
 """
 
 from __future__ import annotations
@@ -71,7 +73,7 @@ def usc_state_equation(context: RuleContext) -> Iterator[Diagnostic]:
     if context.decided.get("usc") is not None:
         return  # C301 already settled it; skip the expensive LPs
     if stg.net.num_places + stg.net.num_transitions > context.size_budget:
-        return  # 2|P| exact LPs would stall the zero-cost stage
+        return  # up to 2|P| exact LPs would stall the zero-cost stage
     certificate = build_lp_certificate(stg)
     if certificate is None:
         return

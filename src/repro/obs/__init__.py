@@ -14,7 +14,7 @@ site in the unfolder, the solvers and the engine is a guarded no-op until
 
     from repro import obs
 
-    with obs.trace("unfold.possible_extensions"):
+    with obs.trace("unfold.run"):
         ...
     obs.incr("unfold.events")
     obs.gauge_max("unfold.queue_peak", len(queue))

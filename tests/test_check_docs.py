@@ -1,4 +1,4 @@
-"""The docs drift checker: rule and phase sync, link resolution,
+"""The docs drift checker: rule, phase and span sync, link resolution,
 reachability."""
 
 import importlib.util
@@ -141,3 +141,64 @@ class TestPhaseSync:
             + page.read_text()
         )
         assert checker.phase_sync_problems() == []
+
+
+class TestSpanSync:
+    TABLE = "## Span taxonomy\n\n| span | where | meaning |\n|---|---|---|\n{rows}"
+
+    def _tree(self, fake_docs, code, rows):
+        package = fake_docs.parent / "src" / "repro"
+        (package / "obs").mkdir(parents=True)
+        (package / "mod.py").write_text(code)
+        # the tracer API's own docstrings and calls are not emission sites
+        (package / "obs" / "__init__.py").write_text(
+            '"""with obs.trace("docstring.example"): ..."""\n'
+            'def trace(name):\n    return _default.span(name)\n'
+        )
+        (fake_docs / "observability.md").write_text(
+            self.TABLE.format(
+                rows="".join(f"| `{row}` | `mod` | meaning |\n" for row in rows)
+            )
+        )
+
+    CODE = (
+        "from repro import obs\n\n"
+        "def run(tracer, kind):\n"
+        '    """obs.trace("in.docstring") is not a call."""\n'
+        '    with obs.trace("a.run"):\n'
+        '        with tracer.span(f"engine.{kind}"):\n'
+        '            obs.event("a.done")\n'
+    )
+
+    def test_repo_table_in_sync(self):
+        assert checker.span_sync_problems() == []
+
+    def test_complete_table_passes(self, fake_docs):
+        self._tree(fake_docs, self.CODE, ["a.run", "engine.<name>", "a.done"])
+        assert checker.span_sync_problems() == []
+
+    def test_missing_span_flagged(self, fake_docs):
+        self._tree(fake_docs, self.CODE, ["engine.<name>", "a.done"])
+        (problem,) = checker.span_sync_problems()
+        assert "'a.run'" in problem and "no row" in problem
+
+    def test_unmatched_pattern_flagged(self, fake_docs):
+        self._tree(fake_docs, self.CODE, ["a.run", "a.done"])
+        (problem,) = checker.span_sync_problems()
+        assert "'engine.<>'" in problem and "no row" in problem
+
+    def test_stale_row_flagged(self, fake_docs):
+        self._tree(
+            fake_docs, self.CODE, ["a.run", "engine.<name>", "a.done", "gone.span"]
+        )
+        (problem,) = checker.span_sync_problems()
+        assert "'gone.span'" in problem and "no code" in problem
+
+    def test_other_tables_ignored(self, fake_docs):
+        self._tree(fake_docs, self.CODE, ["a.run", "engine.<name>", "a.done"])
+        page = fake_docs / "observability.md"
+        page.write_text(
+            page.read_text()
+            + "\n| name | kind | meaning |\n|---|---|---|\n| `x.y` | counter | c |\n"
+        )
+        assert checker.span_sync_problems() == []

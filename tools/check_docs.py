@@ -1,8 +1,8 @@
 #!/usr/bin/env python
-"""Docs drift checker: rule catalogue and phase table sync, link
+"""Docs drift checker: rule catalogue, phase and span table sync, link
 resolution, reachability.
 
-Four independent guarantees, all enforced in CI next to ruff/mypy:
+Five independent guarantees, all enforced in CI next to ruff/mypy:
 
 1. **Rule catalogue sync** (the original ``check_rule_docs`` contract).
    The rule tables in docs/linting.md carry one row per rule id
@@ -24,6 +24,13 @@ Four independent guarantees, all enforced in CI next to ruff/mypy:
    ``repro.obs.tracer.PHASE_PREFIXES`` plus ``total``, each with the span
    prefixes it folds — checked in both directions like the rule catalogue.
 
+5. **Span table sync.**  Every span or point-event name the code passes to
+   ``obs.trace`` / ``tracer.span`` / ``obs.event`` under ``src/repro`` has a
+   row in the ``| span | where | meaning |`` table of
+   docs/observability.md, and every row names such a span.  A name built
+   by an f-string (``f"engine.{engine}"``) matches a documented pattern
+   (``engine.<name>``): each placeholder stands for any one segment.
+
 Run from the repository root::
 
     PYTHONPATH=src python tools/check_docs.py
@@ -31,6 +38,7 @@ Run from the repository root::
 
 from __future__ import annotations
 
+import ast
 import re
 import sys
 from pathlib import Path
@@ -190,9 +198,9 @@ def reachability_problems() -> List[str]:
 
 # -- phase table sync ----------------------------------------------------------
 
-def documented_phases(text: str) -> Dict[str, Set[str]]:
-    """The ``| phase | prefixes |`` table: phase -> backticked prefixes."""
-    rows: Dict[str, Set[str]] = {}
+def table_rows(text: str, header: List[str]) -> Iterator[List[str]]:
+    """The stripped cells of each body row of every table whose header row
+    starts with the cells ``header``."""
     in_table = False
     for line in prose_lines(text):
         stripped = line.strip()
@@ -200,13 +208,20 @@ def documented_phases(text: str) -> Dict[str, Set[str]]:
             in_table = False
             continue
         cells = [cell.strip() for cell in stripped.strip("|").split("|")]
-        if cells[:2] == ["phase", "prefixes"]:
+        if cells[: len(header)] == header:
             in_table = True
             continue
-        if not in_table or len(cells) < 2 or set(cells[0]) <= set("-: "):
-            continue
-        rows[cells[0].strip("`")] = set(re.findall(r"`([^`]+)`", cells[1]))
-    return rows
+        separator = set(cells[0]) <= set("-: ")
+        if in_table and len(cells) >= len(header) and not separator:
+            yield cells
+
+
+def documented_phases(text: str) -> Dict[str, Set[str]]:
+    """The ``| phase | prefixes |`` table: phase -> backticked prefixes."""
+    return {
+        cells[0].strip("`"): set(re.findall(r"`([^`]+)`", cells[1]))
+        for cells in table_rows(text, ["phase", "prefixes"])
+    }
 
 
 def phase_sync_problems() -> List[str]:
@@ -238,11 +253,80 @@ def phase_sync_problems() -> List[str]:
     return problems
 
 
+# -- span table sync -----------------------------------------------------------
+
+#: Tracer methods whose first argument names a span (or a point event).
+_SPAN_METHODS = {"trace", "span", "event"}
+
+
+def _span_name(node: ast.expr) -> str:
+    """A string literal as is; an f-string with each placeholder as ``<>``."""
+    if isinstance(node, ast.Constant) and isinstance(node.value, str):
+        return node.value
+    if isinstance(node, ast.JoinedStr):
+        return "".join(
+            part.value if isinstance(part, ast.Constant) else "<>"
+            for part in node.values
+        )
+    return ""
+
+
+def emitted_spans(package: Path) -> Dict[str, str]:
+    """Span name -> first emitting file, over every module in ``package``
+    outside ``obs/`` (which defines the tracer API rather than using it)."""
+    spans: Dict[str, str] = {}
+    for path in sorted(package.rglob("*.py")):
+        if path.relative_to(package).parts[0] == "obs":
+            continue
+        tree = ast.parse(path.read_text(encoding="utf-8"), str(path))
+        for node in ast.walk(tree):
+            if (
+                isinstance(node, ast.Call)
+                and isinstance(node.func, ast.Attribute)
+                and node.func.attr in _SPAN_METHODS
+                and node.args
+            ):
+                name = _span_name(node.args[0])
+                if name:
+                    spans.setdefault(name, str(path.relative_to(package)))
+    return spans
+
+
+def documented_spans(text: str) -> Set[str]:
+    """Backticked names in the first column of the ``| span | where |``
+    table, each ``<placeholder>`` normalised to ``<>``."""
+    return {
+        re.sub(r"<[^>]*>", "<>", name)
+        for cells in table_rows(text, ["span", "where"])
+        for name in re.findall(r"`([^`]+)`", cells[0])
+    }
+
+
+def span_sync_problems() -> List[str]:
+    emitted = emitted_spans(ROOT / "src" / "repro")
+    page = DOCS / "observability.md"
+    documented = documented_spans(page.read_text(encoding="utf-8"))
+
+    problems: List[str] = []
+    for name in sorted(set(emitted) - documented):
+        problems.append(
+            f"span {name!r} (emitted in {emitted[name]}) has no row in the "
+            f"docs/observability.md span table"
+        )
+    for name in sorted(documented - set(emitted)):
+        problems.append(
+            f"docs/observability.md documents span {name!r} but no code "
+            f"under src/repro emits it"
+        )
+    return problems
+
+
 def main() -> int:
     pages = sorted(DOCS.glob("*.md")) + [ROOT / "README.md"]
     problems = (
         rule_sync_problems()
         + phase_sync_problems()
+        + span_sync_problems()
         + link_problems(pages)
         + reachability_problems()
     )
@@ -251,9 +335,9 @@ def main() -> int:
             print(f"check_docs: {problem}", file=sys.stderr)
         return 1
     print(
-        f"check_docs: {len(pages)} pages checked — rule catalogue and phase "
-        f"table in sync, all links resolve, every docs page reachable from "
-        f"the index"
+        f"check_docs: {len(pages)} pages checked — rule catalogue, phase "
+        f"and span tables in sync, all links resolve, every docs page "
+        f"reachable from the index"
     )
     return 0
 

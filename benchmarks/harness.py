@@ -63,7 +63,7 @@ DEFAULT_THRESHOLD = 0.20
 class Case:
     """One benchmark case: verify ``prop`` on ``family(size)``.
 
-    ``refine=True`` turns on the :mod:`repro.refine` CEGAR prescreen
+    ``refine=True`` turns on the :mod:`repro.refine` LP sweep
     (``use_refinement=``, suffix ``/r=1``) — verdicts are identical by
     contract, so the axis isolates refinement's overhead/payoff.
     """
@@ -647,7 +647,7 @@ def build_parser() -> argparse.ArgumentParser:
             type=int,
             choices=(0, 1),
             metavar="0|1",
-            help="CEGAR-refinement axis: measure each case once per value "
+            help="refinement axis: measure each case once per value "
             "(--refine 0 1 records the with/without pair; default: 0)",
         )
         p.add_argument(

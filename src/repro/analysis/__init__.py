@@ -9,9 +9,9 @@ justification replayed by the independent :func:`verify_fact` — the same
 no-trust contract as :mod:`repro.lint.certificates`.
 
 Consumers: the ``A4xx`` lint tier (:mod:`repro.lint.rules_analysis`), the
-``repro-stg analyze`` CLI subcommand, the trap/siphon cut separation of
-:mod:`repro.refine`, and the dynamic-conflict-freeness licence of the
-verifier's refinement prescreen (:mod:`repro.core.verifier`).
+``repro-stg analyze`` CLI subcommand, and the dynamic-conflict-freeness
+licence of the verifier's refinement prescreen (:mod:`repro.core.verifier`),
+which builds the FactBase only where Proposition 1's structural test fails.
 """
 
 from repro.analysis.cores import ConflictCore, extract_core

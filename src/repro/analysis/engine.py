@@ -3,9 +3,8 @@
 :func:`analyze` computes the whole-net structural facts (relations, traps,
 siphons, trigger/lock structure) exactly once per STG content hash — an
 in-process memo keyed by :meth:`repro.stg.stg.STG.content_hash` makes the
-repeated calls from lint rules, refinement and the CLI free; an optional
-:class:`~repro.engine.cache.ResultCache` round-trips the serialized facts
-across processes.  Everything is deterministic:
+repeated calls from lint rules, the verifier's DCF licence and the CLI
+free.  Everything is deterministic:
 deterministic invariant bases (``petri.analysis._integer_kernel``),
 index-ordered enumeration, sorted outputs.
 
@@ -159,44 +158,21 @@ def clear_memo() -> None:
     _MEMO.clear()
 
 
-def analyze(
-    stg: STG,
-    options: Optional[AnalysisOptions] = None,
-    cache: Optional[Any] = None,
-) -> FactBase:
-    """The FactBase of ``stg``, computed once per content hash.
-
-    ``cache`` may be a :class:`repro.engine.cache.ResultCache`; computed
-    facts are stored under the STG hash (schema-versioned) and later calls
-    — including ones in other processes — load them back instead of
-    recomputing.
-    """
+def analyze(stg: STG, options: Optional[AnalysisOptions] = None) -> FactBase:
+    """The FactBase of ``stg``, computed once per content hash."""
     key = stg.content_hash()
     hit = _MEMO.get(key)
     if hit is not None:
         obs.incr("analysis.cache_hits")
         return hit
-    if cache is not None:
-        payload = cache.get_facts(key)
-        if payload is not None:
-            facts = FactBase.from_dict(payload)
-            obs.incr("analysis.cache_hits")
-            _remember(key, facts)
-            return facts
     with obs.trace("analysis.compute"):
         facts = _compute(stg, key, options or AnalysisOptions())
     obs.incr("analysis.runs")
     obs.incr("analysis.facts", len(facts.facts))
-    _remember(key, facts)
-    if cache is not None:
-        cache.put_facts(key, facts.to_dict())
-    return facts
-
-
-def _remember(key: str, facts: FactBase) -> None:
     _MEMO[key] = facts
     while len(_MEMO) > _MEMO_LIMIT:
         _MEMO.popitem(last=False)
+    return facts
 
 
 def _compute(stg: STG, content_hash: str, options: AnalysisOptions) -> FactBase:

@@ -958,9 +958,9 @@ def build_parser() -> argparse.ArgumentParser:
     check.add_argument(
         "--refine",
         action="store_true",
-        help="run the CEGAR trap/siphon refinement prescreen (repro.refine) "
-        "before the IP search: refuted conflict systems skip the search "
-        "entirely with a replayable cut certificate; verdicts and witnesses "
+        help="run the certified LP refinement sweep (repro.refine) before "
+        "the IP search: refuted conflict systems skip the search entirely "
+        "with a replayable dual-bound certificate; verdicts and witnesses "
         "are byte-identical either way (docs/refinement.md)",
     )
     check.add_argument(
@@ -1011,7 +1011,7 @@ def build_parser() -> argparse.ArgumentParser:
     profile.add_argument(
         "--refine",
         action="store_true",
-        help="enable the CEGAR refinement prescreen (ilp method only); adds "
+        help="enable the refinement LP sweep (ilp method only); adds "
         "the refine row to the phase table",
     )
     profile.add_argument(

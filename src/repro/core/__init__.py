@@ -25,7 +25,7 @@ from repro.core.reachability import (
     check_deadlock,
     LinearConstraint,
 )
-from repro.core.prescreen import kernel_prescreen, lp_prescreen
+from repro.core.prescreen import kernel_prescreen
 
 __all__ = [
     "SolverContext",
@@ -44,5 +44,4 @@ __all__ = [
     "check_deadlock",
     "LinearConstraint",
     "kernel_prescreen",
-    "lp_prescreen",
 ]

@@ -1,30 +1,25 @@
 """Relaxation prescreens for the conflict system (linear-heuristics layer).
 
 The paper stresses that keeping the constraints linear admits "more good
-heuristics".  Two sound prescreens are implemented for the nested
-(Proposition 1) formulation, where a USC conflict exists iff some non-empty
-balanced window ``D`` has non-zero original-net token flow ``I·x_D``:
+heuristics".  For the nested (Proposition 1) formulation, where a USC
+conflict exists iff some non-empty balanced window ``D`` has non-zero
+original-net token flow ``I·x_D``, two layers live here:
 
-1. **kernel test** (exact linear algebra, cheap): if every vector in the
-   null space of the signal-balance matrix also lies in the null space of
-   the incidence matrix, then *no* balanced vector — integral or not — can
-   change the marking, so the STG has no USC conflict and the search can be
-   skipped entirely.  Typical conclusive case: fully sequential cyclic
-   controllers, whose only balanced window is the full cycle.
-2. **LP test** (rational simplex, optional): for each place, maximise the
-   token flow into it over the balanced ``[0,1]``-box polytope; if every
-   optimum is 0 the same conclusion holds.  Strictly stronger than the
-   kernel test (the box can cut off spurious kernel directions) but costs
-   up to ``2|P|`` LP solves.
-
-Both are *sound for "no conflict"* only; an inconclusive answer falls
-through to the exact search.  Only valid together with Proposition 1, i.e.
-for dynamically conflict-free STGs.
+* the **kernel test** (exact linear algebra, cheap): if every vector in the
+  null space of the signal-balance matrix also lies in the null space of
+  the incidence matrix, then *no* balanced vector — integral or not — can
+  change the marking, so the STG has no USC conflict and the search can be
+  skipped entirely.  Typical conclusive case: fully sequential cyclic
+  controllers, whose only balanced window is the full cycle.  It is sound
+  for "no conflict" only, and only valid together with Proposition 1, i.e.
+  for dynamically conflict-free STGs.
+* the rows of the **nested-pair LP relaxation**
+  (:func:`nested_pair_rows`), which :mod:`repro.refine` optimises over
+  the ``[0,1]`` box — one certified float LP per place and direction.
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
 from typing import Iterator, Optional, Sequence, Tuple
 
 import numpy as np
@@ -77,8 +72,7 @@ def nested_pair_rows(context: SolverContext) -> Iterator[RelaxationRow]:
     (the box itself is *not* emitted here).  Row order is part of the
     :mod:`repro.refine` certificate-replay contract — signal balance of the
     difference first, then the Proposition 1 nesting rows, then the prefix
-    compatibility inequalities in condition order — so both consumers
-    (:func:`lp_prescreen` and the refinement loop) see the same system.
+    compatibility inequalities in condition order.
     """
     balance = _balance_matrix(context)
     prefix = context.prefix
@@ -110,38 +104,3 @@ def nested_pair_rows(context: SolverContext) -> Iterator[RelaxationRow]:
         yield template + [0] * n, ">=", -initial
         yield [0] * n + template, ">=", -initial
 
-
-def lp_prescreen(context: SolverContext) -> Optional[bool]:
-    """The LP relaxation of the nested pair system (stronger, costlier).
-
-    Variables: relaxed Parikh vectors ``x' <= x''`` in ``[0,1]``.
-    Constraints: the *compatibility* (prefix marking-equation) inequalities
-    ``M_in + I_unf x >= 0`` for both vectors — the Section 2.2 relaxation —
-    plus the signal balance of the difference ``x'' - x'``.  For each
-    original place the achievable token-flow difference is maximised in both
-    directions; all-zero optima prove the integer system infeasible, i.e.
-    no USC conflict.
-
-    Returns ``False`` for "provably conflict-free", ``None`` otherwise.
-    """
-    from repro.lp import LinearProgram, solve_lp
-
-    flow = _flow_matrix(context)
-    n = context.num_vars
-    constraints = list(nested_pair_rows(context))
-
-    for place_row in flow:
-        if not place_row.any():
-            continue
-        diff_objective = [Fraction(-int(c)) for c in place_row] + [
-            Fraction(int(c)) for c in place_row
-        ]
-        for sign in (1, -1):
-            problem = LinearProgram.feasibility(2 * n, constraints)
-            problem.add_upper_bounds(1)
-            problem.objective = [sign * c for c in diff_objective]
-            result = solve_lp(problem)
-            assert result.feasible, "x' = x'' = 0 is always a solution"
-            if result.objective_value is None or result.objective_value > 0:
-                return None
-    return False

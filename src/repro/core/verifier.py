@@ -135,10 +135,13 @@ def _facts_dcf(context: SolverContext) -> bool:
 
 
 def _run_refinement(context: SolverContext, nest: bool, cert_cache=None) -> bool:
-    """Run the :mod:`repro.refine` CEGAR prescreen when Proposition 1
-    licenses it (structural nesting or a facts-proven DCF certificate) and
-    return whether it refuted the conflict system (with a replayed cut
+    """Run the :mod:`repro.refine` LP sweep when Proposition 1 licenses it
+    (structural nesting or a facts-proven DCF certificate) and return
+    whether it refuted the conflict system (with a replayed dual-bound
     certificate) — refuted means no USC conflict, hence no CSC conflict.
+
+    The FactBase is built only when the structural test fails: on
+    structurally nested nets refinement never reaches the fact engine.
 
     ``cert_cache`` is an optional :class:`repro.engine.cache.ResultCache`
     whose refine-cert domain the prescreen replays verified dual bounds
@@ -204,18 +207,17 @@ def check_usc(
     otherwise, or when ``use_window_search`` is off (the ablation switch),
     the general pair search.
 
-    ``prescreen`` selects a sound relaxation pre-pass for the nested case:
-    ``"kernel"`` (default; sub-millisecond exact linear algebra), ``"lp"``
-    (the rational-simplex relaxation — stronger but much costlier), or
+    ``prescreen`` selects the sound relaxation pre-pass for the nested
+    case: ``"kernel"`` (default; sub-millisecond exact linear algebra) or
     ``None``.  A conclusive prescreen skips the search entirely.
 
     ``node_budget`` bounds the whole check: :class:`SolverLimitError` is
     raised once the search has visited more nodes than that.
 
-    ``use_refinement`` runs the :mod:`repro.refine` CEGAR prescreen (when
-    dynamic conflict-freeness licenses it): a refuted conflict system
-    settles the check with a replayable cut certificate and no search at
-    all; otherwise the exact search runs unchanged.  Verdicts, witnesses
+    ``use_refinement`` runs the :mod:`repro.refine` LP sweep (when dynamic
+    conflict-freeness licenses it): a refuted conflict system settles the
+    check with a replayable dual-bound certificate and no search at all;
+    otherwise the exact search runs unchanged.  Verdicts, witnesses
     and candidate counts are byte-identical either way (pinned by
     ``tests/refine``).
     """
@@ -225,11 +227,12 @@ def check_usc(
     witness = None
 
     if nest and prescreen is not None:
-        from repro.core.prescreen import kernel_prescreen, lp_prescreen
+        from repro.core.prescreen import kernel_prescreen
 
-        screen = {"kernel": kernel_prescreen, "lp": lp_prescreen}[prescreen]
+        if prescreen != "kernel":
+            raise ValueError(f"unknown prescreen {prescreen!r}")
         with obs.trace("search.prescreen"):
-            verdict = screen(context)
+            verdict = kernel_prescreen(context)
         if verdict is False:
             return _holds("USC", context, started)
 
@@ -306,7 +309,7 @@ def check_csc(
     ``node_budget`` bounds the whole check, the window pre-pass and the pair
     fallback together: the fallback only gets the nodes the pre-pass left.
 
-    ``use_refinement`` adds the :mod:`repro.refine` CEGAR prescreen under
+    ``use_refinement`` adds the :mod:`repro.refine` LP sweep under
     the same licence as :func:`check_usc`: a refuted conflict system means
     no USC conflict, hence CSC holds with zero candidates.  Verdicts,
     witnesses and candidate counts stay byte-identical (pinned by

@@ -27,16 +27,15 @@ import json
 import os
 import time
 from pathlib import Path
-from typing import Any, Dict, List, Optional, Union
+from typing import Any, Dict, Optional, Union
 
 from repro.engine.jobs import SOURCE_CACHE, JobResult, VerificationJob
 from repro.utils.filestore import FileStore
 
 #: Bump to invalidate every stored result (e.g. when JobResult grows fields).
-#: v3: analysis FactBase entries share the store (``get_facts``/``put_facts``).
 #: v4: refinement certificate entries (``get_refine_cert``/``put_refine_cert``)
-#:     and per-STG cut logs (``get_refine_cuts``/``put_refine_cuts``) share
-#:     the store under their own key domains.
+#:     share the store under their own key domain; their payloads carry
+#:     ``REFINE_VERSION``, which invalidates them separately.
 SCHEMA_VERSION = 4
 
 
@@ -51,7 +50,12 @@ def default_cache_dir() -> Path:
 
 
 class ResultCache:
-    """A directory of cached :class:`JobResult` objects."""
+    """A directory of cached :class:`JobResult` objects.
+
+    ``hits`` and ``misses`` count verdict lookups (:meth:`get`) only — they
+    feed the hit ratio users read; refinement counts its own certificate
+    replays (``refine.cert_cache_hits``).
+    """
 
     def __init__(self, root: Union[str, Path]):
         self._store = FileStore(root)
@@ -139,45 +143,6 @@ class ResultCache:
         }
         return self._write_atomic(self._path(self.key_for(job)), payload)
 
-    # -- analysis facts ------------------------------------------------------
-
-    def facts_key_for(self, stg_hash: str) -> str:
-        """Key of the serialized :class:`repro.analysis.FactBase` of one STG.
-
-        Same store and schema version as results (a schema bump invalidates
-        facts too), but a distinct key domain so a facts entry can never
-        shadow a verdict.
-        """
-        material = f"repro-facts-cache:v{SCHEMA_VERSION}\n{stg_hash}\n"
-        return hashlib.sha256(material.encode("utf-8")).hexdigest()
-
-    def get_facts(self, stg_hash: str) -> Optional[Dict[str, object]]:
-        """The cached ``FactBase.to_dict()`` payload, or ``None``."""
-        path = self._path(self.facts_key_for(stg_hash))
-        try:
-            payload = json.loads(path.read_text())
-        except (OSError, ValueError):
-            self.misses += 1
-            return None
-        if payload.get("schema") != SCHEMA_VERSION or "facts" not in payload:
-            self.misses += 1
-            return None
-        self.hits += 1
-        body = payload.get("body")
-        return body if isinstance(body, dict) else None
-
-    def put_facts(self, stg_hash: str, body: Dict[str, object]) -> bool:
-        """Store a ``FactBase.to_dict()`` payload atomically."""
-        payload = {
-            "schema": SCHEMA_VERSION,
-            "facts": True,
-            "property": "analysis-facts",
-            "verdict": "facts",
-            "domain": "facts",
-            "body": body,
-        }
-        return self._write_atomic(self._path(self.facts_key_for(stg_hash)), payload)
-
     # -- refinement certificates ---------------------------------------------
 
     @staticmethod
@@ -188,52 +153,37 @@ class ResultCache:
 
         return int(REFINE_VERSION)
 
-    def refine_cert_key_for(
-        self, stg_hash: str, place: str, sign: int, cut_hash: str
-    ) -> str:
+    def refine_cert_key_for(self, stg_hash: str, place: str, sign: int) -> str:
         """Key of one verified dual bound: the objective's ``(place, sign)``
-        against the exact cut state (order-sensitive hash) it was certified
-        under.  Distinct key domain — a cert entry can never shadow a
-        verdict or a facts entry."""
+        of one STG.  Distinct key domain — a cert entry can never shadow a
+        verdict."""
         material = (
-            f"repro-refine-cert:v{SCHEMA_VERSION}\n{stg_hash}\n{place}\n"
-            f"{sign}\n{cut_hash}\n"
+            f"repro-refine-cert:v{SCHEMA_VERSION}\n{stg_hash}\n{place}\n{sign}\n"
         )
         return hashlib.sha256(material.encode("utf-8")).hexdigest()
 
     def get_refine_cert(
-        self, stg_hash: str, place: str, sign: int, cut_hash: str
+        self, stg_hash: str, place: str, sign: int
     ) -> Optional[Dict[str, Any]]:
-        """The cached bound payload (``{"bound": ..., "cuts_after": ...}``),
-        or ``None``.  Callers re-verify the bound with exact arithmetic —
-        the store is a shortcut, never an authority."""
-        path = self._path(self.refine_cert_key_for(stg_hash, place, sign, cut_hash))
+        """The cached bound payload (``{"bound": ...}``), or ``None``.
+        Callers re-verify the bound with exact arithmetic — the store is a
+        shortcut, never an authority."""
+        path = self._path(self.refine_cert_key_for(stg_hash, place, sign))
         try:
             payload = json.loads(path.read_text())
         except (OSError, ValueError):
-            self.misses += 1
             return None
         if (
             payload.get("schema") != SCHEMA_VERSION
             or payload.get("domain") != "refine-cert"
             or payload.get("refine_version") != self._refine_version()
         ):
-            self.misses += 1
             return None
         body = payload.get("body")
-        if not isinstance(body, dict):
-            self.misses += 1
-            return None
-        self.hits += 1
-        return body
+        return body if isinstance(body, dict) else None
 
     def put_refine_cert(
-        self,
-        stg_hash: str,
-        place: str,
-        sign: int,
-        cut_hash: str,
-        body: Dict[str, Any],
+        self, stg_hash: str, place: str, sign: int, body: Dict[str, Any]
     ) -> bool:
         """Store one verified dual bound atomically."""
         payload = {
@@ -243,56 +193,10 @@ class ResultCache:
             "verdict": "certificate",
             "refine_version": self._refine_version(),
             "stg_hash": stg_hash,
-            "cut_hash": cut_hash,
-            "cuts_referenced": bool(body.get("cuts_referenced")),
             "body": body,
         }
         return self._write_atomic(
-            self._path(self.refine_cert_key_for(stg_hash, place, sign, cut_hash)),
-            payload,
-        )
-
-    def refine_cuts_key_for(self, stg_hash: str) -> str:
-        """Key of one STG's refinement cut log (discovery order)."""
-        material = f"repro-refine-cuts:v{SCHEMA_VERSION}\n{stg_hash}\n"
-        return hashlib.sha256(material.encode("utf-8")).hexdigest()
-
-    def get_refine_cuts(self, stg_hash: str) -> Optional[List[Dict[str, Any]]]:
-        """The cached cut log (list of ``Cut.to_dict()`` payloads), or
-        ``None``.  Callers replay every cut through the exact verifier."""
-        path = self._path(self.refine_cuts_key_for(stg_hash))
-        try:
-            payload = json.loads(path.read_text())
-        except (OSError, ValueError):
-            self.misses += 1
-            return None
-        if (
-            payload.get("schema") != SCHEMA_VERSION
-            or payload.get("domain") != "refine-cuts"
-        ):
-            self.misses += 1
-            return None
-        body = payload.get("body")
-        if not isinstance(body, list):
-            self.misses += 1
-            return None
-        self.hits += 1
-        return body
-
-    def put_refine_cuts(
-        self, stg_hash: str, cuts: List[Dict[str, Any]]
-    ) -> bool:
-        """Store one STG's cut log atomically."""
-        payload = {
-            "schema": SCHEMA_VERSION,
-            "domain": "refine-cuts",
-            "property": "refine-cuts",
-            "verdict": "cuts",
-            "stg_hash": stg_hash,
-            "body": cuts,
-        }
-        return self._write_atomic(
-            self._path(self.refine_cuts_key_for(stg_hash)), payload
+            self._path(self.refine_cert_key_for(stg_hash, place, sign)), payload
         )
 
     # -- maintenance ---------------------------------------------------------
@@ -342,11 +246,7 @@ class ResultCache:
                 by_verdict[verdict] = by_verdict.get(verdict, 0) + 1
                 schema = str(payload.get("schema", "?"))
                 by_schema[schema] = by_schema.get(schema, 0) + 1
-                domain = str(
-                    payload.get(
-                        "domain", "facts" if payload.get("facts") else "result"
-                    )
-                )
+                domain = str(payload.get("domain", "result"))
                 by_domain[domain] = by_domain.get(domain, 0) + 1
         return {
             "root": str(self.root),
@@ -372,12 +272,6 @@ class ResultCache:
         number of cache entries removed; concurrent writers are safe — an
         entry rewritten after the cutoff check simply survives the next
         prune, and unlink races are tolerated.
-
-        A consistency pass follows the age sweep: a ``refine-cert`` entry
-        whose bound was certified under cuts (``cuts_referenced``) is only
-        replayable through the STG's ``refine-cuts`` log, so if the age
-        sweep removed that log the cert entries referencing it are removed
-        too — pruning never leaves certs pointing at a vanished cut log.
         """
         if older_than < 0:
             raise ValueError("older_than must be >= 0 seconds")
@@ -396,27 +290,6 @@ class ResultCache:
                 continue  # concurrent prune/rewrite; nothing to do
             if is_entry:
                 removed += 1
-        # consistency pass: drop cut-referencing certs without a cut log
-        cut_logs = set()
-        cert_entries = []
-        for path in self._entries():
-            try:
-                payload = json.loads(path.read_text())
-            except (OSError, ValueError):
-                continue
-            domain = payload.get("domain")
-            if domain == "refine-cuts":
-                cut_logs.add(payload.get("stg_hash"))
-            elif domain == "refine-cert" and payload.get("cuts_referenced"):
-                cert_entries.append((path, payload.get("stg_hash")))
-        for path, stg_hash in cert_entries:
-            if stg_hash in cut_logs:
-                continue
-            try:
-                path.unlink()
-            except OSError:
-                continue
-            removed += 1
         return removed
 
     def clear(self) -> int:

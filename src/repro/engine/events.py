@@ -31,7 +31,6 @@ CACHE_MISS = "cache_miss"
 ENGINE_WON = "engine_won"
 LINT_PASS = "lint_pass"
 LINT_DECIDED = "lint_decided"
-ANALYSIS_PASS = "analysis_pass"
 TASK_STARTED = "task_started"
 TASK_TIMEOUT = "task_timeout"
 TASK_RETRY = "task_retry"
@@ -49,7 +48,6 @@ EVENT_KINDS = frozenset(
         ENGINE_WON,
         LINT_PASS,
         LINT_DECIDED,
-        ANALYSIS_PASS,
         TASK_STARTED,
         TASK_TIMEOUT,
         TASK_RETRY,

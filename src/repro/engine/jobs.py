@@ -55,7 +55,7 @@ class VerificationJob:
     engines: Tuple[str, ...] = ("ilp",)
     timeout: Optional[float] = None
     node_budget: Optional[int] = None
-    #: Run the repro.refine CEGAR prescreen in the ilp engine.  Verdicts,
+    #: Run the repro.refine LP sweep in the ilp engine.  Verdicts,
     #: witnesses and candidate counts are byte-identical either way, so —
     #: like the resource limits — the flag is excluded from the cache
     #: identity.

@@ -16,15 +16,11 @@ consistency-risk gate.  When a certificate decides the job's property the
 verdict is returned immediately — with the machine-checkable certificate
 attached — and the pool never sees the job.  Advisory diagnostics are left
 to ``repro-stg lint``.  (The cache is consulted first: a disk read is
-cheaper still than linting.)  Jobs with
-``use_refinement=True`` then warm the structural
-:class:`~repro.analysis.FactBase` (once per STG hash, persisted in the
-result cache), which refinement's licence check and cut separation read,
-so the racing ilp engines load it instead of recomputing.
+cheaper still than linting.)
 
 :func:`run_jobs` is also the plain driver for single-engine jobs (a
-portfolio of one); every job flows cache → lint → analysis → pool →
-arbitration → result, and each step is reported through the
+portfolio of one); every job flows cache → lint → pool → arbitration →
+result, and each step is reported through the
 :class:`~repro.engine.events.EventLog`.
 """
 
@@ -101,7 +97,6 @@ def run_jobs(
     results: Dict[int, JobResult] = {}
     failures: Dict[int, List[JobResult]] = {}
     lint_decisions: Dict[str, Optional[tuple]] = {}
-    analyzed: Dict[str, bool] = {}
 
     for index, job in enumerate(jobs):
         events.emit(ev.JOB_QUEUED, job_id=job.job_id)
@@ -119,10 +114,6 @@ def run_jobs(
             if settled is not None:
                 results[index] = settled
                 continue
-        if job.use_refinement:
-            # refinement reads the FactBase (DCF licence check, trap/siphon
-            # cut separation), so warm it once per STG hash
-            _analysis_stage(job, events, cache, analyzed)
         failures[index] = []
         for engine in job.engines:
             pool.submit(
@@ -169,42 +160,6 @@ def run_jobs(
             jobs[index], VERDICT_ERROR, error="pool drained without outcome"
         )
     return [results[index] for index in range(len(jobs))]
-
-
-def _analysis_stage(
-    job: VerificationJob,
-    events: ev.EventLog,
-    cache: Optional[ResultCache],
-    analyzed: Dict[str, bool],
-) -> None:
-    """Warm the FactBase of a ``use_refinement`` job, once per STG hash.
-
-    Purely an optimisation pass: facts land in the in-process memo and (when
-    a cache is configured) in the result cache, where the racing ilp engines
-    — possibly in other processes — load them instead of recomputing.
-    Failures degrade silently to in-engine computation.
-    """
-    if job.stg_hash in analyzed:
-        return
-    analyzed[job.stg_hash] = True
-    from repro.analysis import analyze
-
-    started = time.perf_counter()
-    try:
-        facts = analyze(job.stg, cache=cache)
-    except Exception as exc:  # analysis bug: the engines recompute/degrade
-        events.emit(
-            ev.ANALYSIS_PASS,
-            job_id=job.job_id,
-            detail=f"analysis crashed ({type(exc).__name__}: {exc})",
-        )
-        return
-    events.emit(
-        ev.ANALYSIS_PASS,
-        job_id=job.job_id,
-        elapsed=time.perf_counter() - started,
-        detail=f"{len(facts.facts)} facts",
-    )
 
 
 def _lint_stage(

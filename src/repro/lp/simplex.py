@@ -1,8 +1,9 @@
 """Two-phase primal simplex over exact rationals.
 
 Solves ``max c x  s.t.  A x (<=|>=|==) b,  x >= 0`` with exact rational
-arithmetic — no numerical tolerance games, which matters because the
-conflict-system prescreen must never declare a feasible system infeasible.
+arithmetic — no numerical tolerance games, which matters because a
+certificate built on a solve must never declare a feasible system
+infeasible.
 Bland's rule guarantees termination.
 
 The implementation is the textbook dense tableau, but each row is stored
@@ -10,8 +11,8 @@ as a list of integer numerators over one shared positive denominator
 instead of per-cell :class:`~fractions.Fraction` objects: pivoting then
 runs on machine integers (one gcd-reduction per updated row) rather than
 constructing and normalising a ``Fraction`` per cell per pivot — the same
-exact values, the same Bland pivot sequence, several times faster on the
-separation-LP workload.  Coefficients may be ``int`` or ``Fraction``;
+exact values, the same Bland pivot sequence, several times faster.
+Coefficients may be ``int`` or ``Fraction``;
 integer rows enter the tableau as they are.  Problem sizes here are a few
 dozen variables/constraints, where exact arithmetic is entirely affordable.
 

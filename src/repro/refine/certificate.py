@@ -1,32 +1,25 @@
-"""Replayable refutation certificates for the refinement loop.
+"""Replayable refutation certificates for the refinement sweep.
 
 A refuted conflict system is worth nothing if the refutation has to be
-trusted.  The loop therefore emits a :class:`RefinementCertificate`: the
-accepted cuts plus, for every non-trivial objective (each original place
-and flow direction), a sparse exact-rational dual multiplier vector whose
-weak-duality bound is **strictly below 1**.  Since the integral token-flow
-difference of a window is an integer, a bound below 1 proves the integral
-maximum is at most 0 in both directions — no balanced window moves any
-token, hence no USC conflict (the Chvátal–Gomory rounding step of the
-CEGAR scheme).
+trusted.  The sweep therefore emits a :class:`RefinementCertificate`: for
+every non-trivial objective (each original place and flow direction), a
+sparse exact-rational dual multiplier vector whose weak-duality bound is
+**strictly below 1**.  Since the integral token-flow difference of a
+window is an integer, a bound below 1 proves the integral maximum is at
+most 0 in both directions — no balanced window moves any token, hence no
+USC conflict (the Chvátal–Gomory rounding step).
 
 Replay (:func:`verify_certificate`) needs **no LP solver**:
 
-1. every cut is re-verified against the net with exact integer arithmetic
-   (:func:`repro.refine.cuts.verify_cut`) and its rows appended in order;
-2. the constraint system is rebuilt deterministically (the canonical row
+1. the constraint system is rebuilt deterministically (the canonical row
    order of :mod:`repro.refine.relaxation`);
-3. each dual vector is checked by :func:`check_dual_bound` — multipliers
+2. each dual vector is checked by :func:`check_dual_bound` — multipliers
    non-negative on inequalities, the combined row dominates the objective
    coordinatewise, and the combined right-hand side is below 1 — all in
-   :class:`~fractions.Fraction` arithmetic;
-4. *coverage* is enforced: a certificate missing any (place, direction)
+   exact integer/:class:`~fractions.Fraction` arithmetic;
+3. *coverage* is enforced: a certificate missing any (place, direction)
    objective is rejected, so a verifier cannot be talked into skipping
    objectives.
-
-Dual vectors certified while the system still had fewer cuts remain valid
-against the final system: sparse multipliers zero-extend over appended
-rows, which can only shrink the feasible region.
 """
 
 from __future__ import annotations
@@ -34,14 +27,14 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 from math import gcd
-from typing import Any, Dict, List, Optional, Sequence, Tuple
+from typing import Any, Dict, List, Optional, Sequence
 
 from repro.core.context import SolverContext
-from repro.refine.cuts import Cut, verify_cut
-from repro.refine.relaxation import Relaxation, Row, build_relaxation
+from repro.refine.relaxation import Row, build_relaxation
 
 #: Bump when the certificate payload layout changes.
-REFINE_VERSION = 1
+#: v2: certificates carry dual bounds only (no cut list).
+REFINE_VERSION = 2
 
 
 def _fraction_to_str(value: Fraction) -> str:
@@ -95,12 +88,11 @@ class DualBound:
 
 @dataclass
 class RefinementCertificate:
-    """The full refutation: cuts in discovery order plus one
-    :class:`DualBound` per (place, direction) objective."""
+    """The full refutation: one :class:`DualBound` per (place, direction)
+    objective."""
 
     stg_name: str
     num_vars: int
-    cuts: List[Cut] = field(default_factory=list)
     bounds: List[DualBound] = field(default_factory=list)
 
     def to_dict(self) -> Dict[str, Any]:
@@ -108,7 +100,6 @@ class RefinementCertificate:
             "version": REFINE_VERSION,
             "stg": self.stg_name,
             "num_vars": self.num_vars,
-            "cuts": [cut.to_dict() for cut in self.cuts],
             "bounds": [bound.to_dict() for bound in self.bounds],
         }
 
@@ -121,7 +112,6 @@ class RefinementCertificate:
         return cls(
             stg_name=str(payload["stg"]),
             num_vars=int(payload["num_vars"]),
-            cuts=[Cut.from_dict(c) for c in payload["cuts"]],
             bounds=[DualBound.from_dict(b) for b in payload["bounds"]],
         )
 
@@ -184,31 +174,16 @@ def check_dual_bound(
     return Fraction(bound, scale)
 
 
-def certified_system(
-    context: SolverContext, cuts: Sequence[Cut]
-) -> Optional[Relaxation]:
-    """Rebuild the relaxation with every cut re-verified, or ``None`` if
-    any cut fails exact replay."""
-    relaxation = build_relaxation(context)
-    for cut in cuts:
-        if not verify_cut(relaxation.net, cut):
-            return None
-        relaxation.add_cut(cut)
-    return relaxation
-
-
 def verify_certificate(
     context: SolverContext, certificate: RefinementCertificate
 ) -> bool:
     """Replay the whole refutation against ``context`` — see module doc."""
     if certificate.num_vars != context.num_vars:
         return False
-    relaxation = certified_system(context, certificate.cuts)
-    if relaxation is None:
-        return False
+    relaxation = build_relaxation(context)
     net = relaxation.net
     eq_rows = relaxation.eq_rows
-    ub_rows = relaxation.canonical_inequalities()
+    ub_rows = relaxation.canonical_inequalities
     index = {net.place_name(p): p for p in range(net.num_places)}
     needed: set = {
         (net.place_name(p), sign)
@@ -229,9 +204,3 @@ def verify_certificate(
         needed.discard((bound.place, bound.sign))
     return not needed
 
-
-def dual_bound_pairs(
-    certificate: RefinementCertificate,
-) -> List[Tuple[str, int]]:
-    """The (place, sign) objectives the certificate covers, in order."""
-    return [(bound.place, bound.sign) for bound in certificate.bounds]

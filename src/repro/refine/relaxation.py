@@ -1,148 +1,81 @@
-"""The canonical constraint system the refinement loop works on.
+"""The canonical constraint system the refinement sweep works on.
 
-One source of truth for row content *and* row order: the base rows come
-from :func:`repro.core.prescreen.nested_pair_rows` (signal balance,
-Proposition 1 nesting, prefix compatibility — the same system
-``lp_prescreen`` optimises over), normalised here into the two-block shape
-solvers and certificates share:
+One source of truth for row content *and* row order: the rows come from
+:func:`repro.core.prescreen.nested_pair_rows` (signal balance,
+Proposition 1 nesting, prefix compatibility), normalised here into the
+two-block shape solvers and certificates share:
 
-* **equality block** — base ``==`` rows, followed by one pair of rows per
-  siphon cut (in cut-discovery order);
-* **inequality block** — base ``<=`` rows (``>=`` rows negated), then the
+* **equality block** — the ``==`` rows;
+* **inequality block** — the ``<=`` rows (``>=`` rows negated), then the
   ``2n`` box rows ``x_j <= 1`` (so ``box_offset + j`` addresses variable
-  ``j``'s box row), then one pair of rows per trap cut.
+  ``j``'s box row).
 
 Certificates reference rows by index into these blocks, so the order is a
-compatibility contract: dual multipliers certified against a prefix of the
-system stay valid — sparse vectors zero-extend — when later cuts append
-rows at higher indices.
+compatibility contract with :mod:`repro.refine.certificate`.  The system
+never changes after :func:`build_relaxation`, so every derived view is
+built once, on first use.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, List, Sequence, Tuple
+from dataclasses import dataclass
+from functools import cached_property
+from typing import List, Tuple
 
 import numpy as np
 
 from repro.core.context import SolverContext
 from repro.core.prescreen import _flow_matrix, nested_pair_rows
 from repro.petri.net import PetriNet
-from repro.refine.cuts import Cut, cut_row
 
 #: ``(coefficients over 2n variables, right-hand side)``.
 Row = Tuple[List[int], int]
 
+#: ``([(column, coefficient), ...], right-hand side)`` — a row's support.
+SparseRow = Tuple[List[Tuple[int, int]], int]
+
+
+def _sparse(rows: List[Row]) -> List[SparseRow]:
+    return [([(j, c) for j, c in enumerate(coeffs) if c], rhs) for coeffs, rhs in rows]
+
 
 @dataclass
 class Relaxation:
-    """The mutable working system: base rows plus accepted cuts."""
+    """The nested-pair relaxation of one prefix, in canonical row order."""
 
     num_vars: int                    # n: positions per Parikh copy
-    net: PetriNet                    # the original net (cut arithmetic)
+    net: PetriNet                    # the original net
     flow: np.ndarray                 # original places x positions token flow
-    eq_rows: List[Row]               # base == rows, then siphon-cut rows
-    ub_rows: List[Row]               # base <= rows only (no box, no cuts)
-    cut_ub_rows: List[Row] = field(default_factory=list)   # trap-cut rows
-    cuts: List[Cut] = field(default_factory=list)
-    #: Bumped by :meth:`add_cut`; lets solvers and the canonical-row cache
-    #: detect staleness without comparing row lists.
-    version: int = 0
-    _canonical_cache: Tuple[int, List[Row]] = field(
-        default=(-1, []), repr=False, compare=False
-    )
-    _sparse_eq_cache: Tuple[int, List[Tuple[List[Tuple[int, int]], int]]] = field(
-        default=(-1, []), repr=False, compare=False
-    )
-    _sparse_ub_cache: Tuple[
-        int, Dict[int, Tuple[List[Tuple[int, int]], int]]
-    ] = field(default=(-1, {}), repr=False, compare=False)
+    eq_rows: List[Row]               # the == rows
+    ub_rows: List[Row]               # the <= rows (no box)
 
     @property
     def box_offset(self) -> int:
         """Canonical inequality index of the ``x_0 <= 1`` row."""
         return len(self.ub_rows)
 
-    def add_cut(self, cut: Cut) -> None:
-        """Append the cut's two rows (one per Parikh copy) to the system."""
-        n = self.num_vars
-        coeffs, sense, rhs = cut_row(cut, self.net, self.flow, n)
-        if sense == ">=":  # trap: negate into <= form
-            first = ([-c for c in coeffs] + [0] * n, -rhs)
-            second = ([0] * n + [-c for c in coeffs], -rhs)
-            self.cut_ub_rows.extend((first, second))
-        else:  # siphon: equality
-            self.eq_rows.append((list(coeffs) + [0] * n, rhs))
-            self.eq_rows.append(([0] * n + list(coeffs), rhs))
-        self.cuts.append(cut)
-        self.version += 1
-
+    @cached_property
     def canonical_inequalities(self) -> List[Row]:
-        """Base ``<=`` rows, box rows, trap-cut rows — certificate order.
-
-        Cached per :attr:`version` — the certification step reads this once
-        per accepted cut instead of rebuilding ``2n`` box rows per solve.
-        """
-        cached_version, cached_rows = self._canonical_cache
-        if cached_version == self.version:
-            return cached_rows
+        """The ``<=`` rows, then the box rows — certificate order."""
         n2 = 2 * self.num_vars
         box: List[Row] = []
         for j in range(n2):
             coeffs = [0] * n2
             coeffs[j] = 1
             box.append((coeffs, 1))
-        rows = self.ub_rows + box + self.cut_ub_rows
-        self._canonical_cache = (self.version, rows)
-        return rows
+        return self.ub_rows + box
 
-    def sparse_eq_rows(self) -> List[Tuple[List[Tuple[int, int]], int]]:
-        """Equality rows as ``([(col, coeff), ...], rhs)`` — certification
-        combines rows by their support, not over all ``2n`` columns.
-        Cached per :attr:`version`."""
-        cached_version, cached = self._sparse_eq_cache
-        if cached_version == self.version:
-            return cached
-        rows = [
-            ([(j, c) for j, c in enumerate(coeffs) if c], rhs)
-            for coeffs, rhs in self.eq_rows
-        ]
-        self._sparse_eq_cache = (self.version, rows)
-        return rows
+    @cached_property
+    def sparse_eq_rows(self) -> List[SparseRow]:
+        """Equality rows by support — certification combines rows over
+        their non-zero columns, not all ``2n``."""
+        return _sparse(self.eq_rows)
 
-    def sparse_inequality_map(
-        self,
-    ) -> Dict[int, Tuple[List[Tuple[int, int]], int]]:
-        """Non-box ``<=`` rows as ``canonical_index -> (entries, rhs)``.
-
-        Box rows are implicit (canonical ``box_offset + j`` is the
-        singleton row ``x_j <= 1``), so certification never materialises
-        them.  Cached per :attr:`version`."""
-        cached_version, cached = self._sparse_ub_cache
-        if cached_version == self.version:
-            return cached
-        rows: Dict[int, Tuple[List[Tuple[int, int]], int]] = {}
-        for r, (coeffs, rhs) in enumerate(self.ub_rows):
-            rows[r] = ([(j, c) for j, c in enumerate(coeffs) if c], rhs)
-        cut_base = self.box_offset + 2 * self.num_vars
-        for r, (coeffs, rhs) in enumerate(self.cut_ub_rows):
-            rows[cut_base + r] = ([(j, c) for j, c in enumerate(coeffs) if c], rhs)
-        self._sparse_ub_cache = (self.version, rows)
-        return rows
-
-    def solver_inequalities(self) -> Tuple[List[List[int]], List[int]]:
-        """The ``A_ub, b_ub`` an LP solver with native ``[0,1]`` bounds
-        sees: base rows then trap-cut rows, *without* the box rows.  Row
-        ``r`` here maps to canonical index ``r`` when ``r < box_offset``
-        and ``r + 2n`` otherwise (see :func:`solver_ub_index`)."""
-        rows = self.ub_rows + self.cut_ub_rows
-        return [c for c, _ in rows], [b for _, b in rows]
-
-    def solver_ub_index(self, solver_row: int) -> int:
-        """Map a :meth:`solver_inequalities` row index to canonical."""
-        if solver_row < len(self.ub_rows):
-            return solver_row
-        return solver_row + 2 * self.num_vars
+    @cached_property
+    def sparse_ub_rows(self) -> List[SparseRow]:
+        """Non-box ``<=`` rows by support (the box rows are implicit:
+        canonical ``box_offset + j`` is the singleton row ``x_j <= 1``)."""
+        return _sparse(self.ub_rows)
 
     def diff_objective(self, place: int, sign: int) -> List[int]:
         """Maximise ``sign * (flow_p · x'' - flow_p · x')``."""
@@ -172,21 +105,3 @@ def build_relaxation(context: SolverContext) -> Relaxation:
         eq_rows=eq_rows,
         ub_rows=ub_rows,
     )
-
-
-def marking_vector(
-    relaxation: Relaxation, x: Sequence
-) -> List:
-    """``M = M0 + flow · x`` with exact rational arithmetic."""
-    net = relaxation.net
-    initial = net.initial_marking
-    marking = []
-    for p in range(net.num_places):
-        value = int(initial[p])  # promoted by the arithmetic of x's entries
-        row = relaxation.flow[p]
-        for i in range(relaxation.num_vars):
-            c = int(row[i])
-            if c:
-                value = value + c * x[i]
-        marking.append(value)
-    return marking

@@ -1,13 +1,9 @@
-"""Shared-relaxation LP backends for the CEGAR objective sweep.
+"""LP backends for the refinement sweep over one shared relaxation.
 
-PR 8 rebuilt one dense LP per ``(place, sign)`` objective — ``2·|P|`` full
-matrix constructions plus scipy ``linprog`` presolves per refinement run.
-This module keeps **one** model per :class:`~repro.refine.relaxation.
-Relaxation` instead: the constraint matrix is loaded into HiGHS once as a
-row-wise sparse structure, every objective of the sweep is a
-``changeColsCost`` + ``run`` pair against that shared model, and an
-accepted trap/siphon cut is an ``addRows`` append — the matrix is never
-rebuilt.
+The ``2|P|`` objectives of a sweep all optimise over the same polytope, so
+the constraint matrix is loaded into HiGHS **once** as a row-wise sparse
+structure and every objective is a ``changeColsCost`` + ``run`` pair
+against that shared model.
 
 Determinism contract
 ====================
@@ -18,12 +14,9 @@ this).  Warm-starting the simplex from the previous basis breaks that —
 degenerate optima make the *duals* history-dependent even when the primal
 solution is not — so the shared model is reset with ``clearSolver()``
 before every ``run``.  Measured on the Table-1 models this is both the
-fastest option (the model build, not the basis, is what the per-objective
-rebuild was paying for) and bit-identical to a fresh model per solve,
-**provided the rows are loaded in the same order**: cut rows are therefore
-always appended at the end of the model in discovery order, and the
-non-incremental reference mode (``incremental=False``) replays exactly
-that order when it rebuilds.
+fastest option (the model build, not the basis, is what a per-objective
+rebuild pays for) and bit-identical to a fresh model per solve, which the
+reference mode (``incremental=False``) builds.
 
 Backends
 ========
@@ -32,14 +25,14 @@ Backends
   (``scipy.optimize._highspy``), driven directly so the sweep skips the
   ``linprog`` wrapper's per-call model construction and presolve.
 * :class:`LinprogSweepSolver` — plain ``scipy.optimize.linprog`` over
-  arrays prebuilt per cut-state; the degradation path when the private
-  HiGHS bindings are absent.
+  arrays built once; the degradation path when the private HiGHS bindings
+  are absent.
 
 Both return the same :class:`SolveResult` shape — float duals keyed by the
 *canonical* row indices of :mod:`repro.refine.relaxation`, which is what
 the exact certification step consumes.  :func:`make_sweep_solver` picks
 the best available backend, or ``None`` when scipy is missing entirely
-(the CEGAR loop then degrades to its ``scipy-unavailable`` outcome).
+(the sweep then degrades to its ``scipy-unavailable`` outcome).
 """
 
 from __future__ import annotations
@@ -47,7 +40,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
-from repro.refine.cuts import CUT_SIPHON
 from repro.refine.relaxation import Relaxation
 
 BACKEND_HIGHS = "highs"
@@ -61,11 +53,11 @@ _INF = float("inf")
 
 @dataclass
 class SolveResult:
-    """One objective's float solve: optimum, point, and sparse duals.
+    """One objective's float solve: optimum and sparse duals.
 
     Duals are keyed by the canonical row indices of the relaxation —
     ``eq_duals`` by equality-block index, ``ub_duals`` by
-    :meth:`~repro.refine.relaxation.Relaxation.canonical_inequalities`
+    :attr:`~repro.refine.relaxation.Relaxation.canonical_inequalities`
     index, ``box_duals`` by variable (the ``x_j <= 1`` rows) — so the
     exact certification step is backend-agnostic.  Dual *signs* are
     whatever the backend produced; certification tries both conventions.
@@ -73,50 +65,15 @@ class SolveResult:
 
     success: bool
     optimum: float = 0.0
-    x: Tuple[float, ...] = ()
     eq_duals: Dict[int, float] = field(default_factory=dict)
     ub_duals: Dict[int, float] = field(default_factory=dict)
     box_duals: Dict[int, float] = field(default_factory=dict)
 
 
-def _append_order_rows(
-    relaxation: Relaxation, base_eq: int, eq_done: int, cut_ub_done: int
-) -> List[_ModelRow]:
-    """Cut rows in discovery (= model append) order, skipping the first
-    ``eq_done`` siphon rows and ``cut_ub_done`` trap rows already emitted.
-
-    ``relaxation.add_cut`` appends a siphon cut's two rows to the tail of
-    the equality block and a trap cut's two rows to ``cut_ub_rows``, both
-    in discovery order — so walking ``relaxation.cuts`` with two cursors
-    reconstructs the interleaved append order exactly.
-    """
+def _model_rows(relaxation: Relaxation) -> List[_ModelRow]:
+    """The model's rows: equality block, then ``<=`` block."""
     rows: List[_ModelRow] = []
-    eq_cursor = base_eq
-    ub_cursor = 0
-    cut_base = relaxation.box_offset + 2 * relaxation.num_vars
-    for cut in relaxation.cuts:
-        if cut.kind == CUT_SIPHON:
-            for _ in range(2):
-                if eq_cursor >= eq_done:
-                    coeffs, rhs = relaxation.eq_rows[eq_cursor]
-                    rows.append(("eq", eq_cursor, coeffs, float(rhs), float(rhs)))
-                eq_cursor += 1
-        else:
-            for _ in range(2):
-                if ub_cursor >= cut_ub_done:
-                    coeffs, rhs = relaxation.cut_ub_rows[ub_cursor]
-                    rows.append(
-                        ("ub", cut_base + ub_cursor, coeffs, -_INF, float(rhs))
-                    )
-                ub_cursor += 1
-    return rows
-
-
-def _base_rows(relaxation: Relaxation, base_eq: int) -> List[_ModelRow]:
-    """The cut-free prefix of the model: equality block, then ``<=`` block."""
-    rows: List[_ModelRow] = []
-    for i in range(base_eq):
-        coeffs, rhs = relaxation.eq_rows[i]
+    for i, (coeffs, rhs) in enumerate(relaxation.eq_rows):
         rows.append(("eq", i, coeffs, float(rhs), float(rhs)))
     for r, (coeffs, rhs) in enumerate(relaxation.ub_rows):
         rows.append(("ub", r, coeffs, -_INF, float(rhs)))
@@ -132,26 +89,14 @@ class HighsSweepSolver:
         self._core = core
         self.relaxation = relaxation
         self.incremental = incremental
-        #: Equality rows present before any cut (captured at attach time).
-        self._base_eq = len(relaxation.eq_rows)
-        self._highs: Optional[Any] = None
-        self._kinds: List[Tuple[str, int]] = []
-        self._synced_eq = self._base_eq
-        self._synced_cut_ub = 0
-        if incremental:
-            self._highs = self._build_model(_base_rows(relaxation, self._base_eq))
-            self._synced_cut_ub = len(relaxation.cut_ub_rows)
-            if self._synced_cut_ub or len(relaxation.eq_rows) != self._base_eq:
-                # attached to a relaxation that already carries cuts: the
-                # base capture above saw them as base rows, keep it simple
-                raise ValueError("HighsSweepSolver expects a cut-free relaxation")
+        self._rows = _model_rows(relaxation)
+        self._highs: Any = self._build_model() if incremental else None
 
-    # -- model construction ----------------------------------------------------
-
-    def _build_model(self, rows: List[_ModelRow]) -> Any:
+    def _build_model(self) -> Any:
         import numpy as np
 
         core = self._core
+        rows = self._rows
         ncols = 2 * self.relaxation.num_vars
         lp = core.HighsLp()
         lp.num_col_ = ncols
@@ -162,7 +107,15 @@ class HighsSweepSolver:
         lp.row_lower_ = np.array([low for _, _, _, low, _ in rows], dtype=np.float64)
         lp.row_upper_ = np.array([up for _, _, _, _, up in rows], dtype=np.float64)
         lp.sense_ = core.ObjSense.kMaximize
-        starts, indices, values = self._csr(rows)
+        starts: List[int] = [0]
+        indices: List[int] = []
+        values: List[float] = []
+        for _, _, coeffs, _, _ in rows:
+            for j, c in enumerate(coeffs):
+                if c:
+                    indices.append(j)
+                    values.append(float(c))
+            starts.append(len(indices))
         matrix = core.HighsSparseMatrix()
         matrix.format_ = core.MatrixFormat.kRowwise
         matrix.num_col_ = ncols
@@ -175,66 +128,13 @@ class HighsSweepSolver:
         highs.setOptionValue("output_flag", False)
         highs.setOptionValue("presolve", "off")
         highs.passModel(lp)
-        self._kinds = [(kind, canonical) for kind, canonical, _, _, _ in rows]
         return highs
-
-    @staticmethod
-    def _csr(
-        rows: List[_ModelRow],
-    ) -> Tuple[List[int], List[int], List[float]]:
-        starts: List[int] = [0]
-        indices: List[int] = []
-        values: List[float] = []
-        for _, _, coeffs, _, _ in rows:
-            for j, c in enumerate(coeffs):
-                if c:
-                    indices.append(j)
-                    values.append(float(c))
-            starts.append(len(indices))
-        return starts, indices, values
-
-    def _sync(self) -> None:
-        """Append any cut rows accepted since the last solve (``addRows``)."""
-        import numpy as np
-
-        relaxation = self.relaxation
-        if (
-            len(relaxation.eq_rows) == self._synced_eq
-            and len(relaxation.cut_ub_rows) == self._synced_cut_ub
-        ):
-            return
-        rows = _append_order_rows(
-            relaxation, self._base_eq, self._synced_eq, self._synced_cut_ub
-        )
-        starts, indices, values = self._csr(rows)
-        assert self._highs is not None
-        self._highs.addRows(
-            len(rows),
-            np.array([low for _, _, _, low, _ in rows], dtype=np.float64),
-            np.array([up for _, _, _, _, up in rows], dtype=np.float64),
-            len(indices),
-            np.array(starts[:-1], dtype=np.int32),
-            np.array(indices, dtype=np.int32),
-            np.array(values, dtype=np.float64),
-        )
-        self._kinds.extend((kind, canonical) for kind, canonical, _, _, _ in rows)
-        self._synced_eq = len(relaxation.eq_rows)
-        self._synced_cut_ub = len(relaxation.cut_ub_rows)
-
-    # -- solving ---------------------------------------------------------------
 
     def solve(self, objective: Sequence[int]) -> SolveResult:
         import numpy as np
 
         core = self._core
-        if self.incremental:
-            self._sync()
-            highs = self._highs
-        else:
-            rows = _base_rows(self.relaxation, self._base_eq)
-            rows += _append_order_rows(self.relaxation, self._base_eq, self._base_eq, 0)
-            highs = self._build_model(rows)
-        assert highs is not None
+        highs = self._highs if self.incremental else self._build_model()
         ncols = 2 * self.relaxation.num_vars
         highs.changeColsCost(
             ncols,
@@ -254,9 +154,8 @@ class HighsSweepSolver:
         result = SolveResult(
             success=True,
             optimum=float(highs.getInfo().objective_function_value),
-            x=tuple(float(v) for v in solution.col_value),
         )
-        for (kind, canonical), dual in zip(self._kinds, solution.row_dual):
+        for (kind, canonical, _, _, _), dual in zip(self._rows, solution.row_dual):
             if dual:
                 target = result.eq_duals if kind == "eq" else result.ub_duals
                 target[canonical] = float(dual)
@@ -271,36 +170,23 @@ class HighsSweepSolver:
 
 
 class LinprogSweepSolver:
-    """``scipy.optimize.linprog`` over arrays prebuilt per cut-state.
+    """``scipy.optimize.linprog`` over arrays built once per relaxation.
 
-    Used when the private HiGHS bindings are unavailable.  Matrices are
-    (re)built only when a cut lands, not per objective — so the sweep still
-    amortises construction — and the incremental/reference modes share the
-    same array layout, keeping their solves identical.
+    Used when the private HiGHS bindings are unavailable.  ``linprog``
+    builds its own model on every call, so there is no shared model to
+    reuse and no separate reference mode.
     """
 
     backend = BACKEND_LINPROG
 
-    def __init__(self, linprog: Any, relaxation: Relaxation, incremental: bool = True):
-        self._linprog = linprog
-        self.relaxation = relaxation
-        self.incremental = incremental
-        self._built_for = -1
-        self._a_ub: Any = None
-        self._b_ub: Any = None
-        self._a_eq: Any = None
-        self._b_eq: Any = None
-
-    def _arrays(self) -> None:
+    def __init__(self, linprog: Any, relaxation: Relaxation):
         import numpy as np
 
-        relaxation = self.relaxation
-        state = len(relaxation.cuts)
-        if self.incremental and state == self._built_for:
-            return
-        a_ub, b_ub = relaxation.solver_inequalities()
-        self._a_ub = np.array(a_ub, dtype=float)
-        self._b_ub = np.array(b_ub, dtype=float)
+        self._linprog = linprog
+        self.relaxation = relaxation
+        ub_rows = relaxation.ub_rows
+        self._a_ub = np.array([c for c, _ in ub_rows], dtype=float)
+        self._b_ub = np.array([b for _, b in ub_rows], dtype=float)
         eq_rows = relaxation.eq_rows
         self._a_eq = (
             np.array([c for c, _ in eq_rows], dtype=float) if eq_rows else None
@@ -308,12 +194,10 @@ class LinprogSweepSolver:
         self._b_eq = (
             np.array([b for _, b in eq_rows], dtype=float) if eq_rows else None
         )
-        self._built_for = state
 
     def solve(self, objective: Sequence[int]) -> SolveResult:
         import numpy as np
 
-        self._arrays()
         minimise = np.array([-c for c in objective], dtype=float)
         outcome = self._linprog(
             minimise,
@@ -326,19 +210,14 @@ class LinprogSweepSolver:
         )
         if not outcome.success:
             return SolveResult(success=False)
-        result = SolveResult(
-            success=True,
-            optimum=-float(outcome.fun),
-            x=tuple(float(v) for v in outcome.x),
-        )
-        relaxation = self.relaxation
-        if relaxation.eq_rows:
+        result = SolveResult(success=True, optimum=-float(outcome.fun))
+        if self.relaxation.eq_rows:
             for row, dual in enumerate(outcome.eqlin.marginals):
                 if dual:
                     result.eq_duals[row] = float(dual)
         for row, dual in enumerate(outcome.ineqlin.marginals):
             if dual:
-                result.ub_duals[relaxation.solver_ub_index(row)] = float(dual)
+                result.ub_duals[row] = float(dual)
         for var, dual in enumerate(outcome.upper.marginals):
             if dual:
                 result.box_duals[var] = float(dual)
@@ -348,7 +227,11 @@ class LinprogSweepSolver:
 def make_sweep_solver(
     relaxation: Relaxation, incremental: bool = True
 ) -> Optional[Any]:
-    """The best available backend attached to ``relaxation``, or ``None``."""
+    """The best available backend attached to ``relaxation``, or ``None``.
+
+    ``incremental=False`` makes the HiGHS backend rebuild its model per
+    solve (the reference path the equivalence tests compare against).
+    """
     try:
         from scipy.optimize._highspy import _core
     except ImportError:
@@ -359,4 +242,4 @@ def make_sweep_solver(
         from scipy.optimize import linprog
     except ImportError:
         return None
-    return LinprogSweepSolver(linprog, relaxation, incremental=incremental)
+    return LinprogSweepSolver(linprog, relaxation)

@@ -1,4 +1,4 @@
-"""The analyze() driver: memoization, ResultCache round-trip, DCF proof."""
+"""The analyze() driver: memoization, serialization, DCF proof."""
 
 import pytest
 
@@ -11,7 +11,6 @@ from repro.analysis import (
     analyze,
     clear_memo,
 )
-from repro.engine.cache import ResultCache
 from repro.models import TABLE1_BENCHMARKS
 
 
@@ -51,24 +50,6 @@ class TestMemo:
             obs.set_tracer(previous)
         assert probe.counters.get("analysis.runs") == 1
         assert probe.counters.get("analysis.cache_hits") == 1
-
-
-class TestResultCacheRoundTrip:
-    def test_put_get_facts(self, ring, tmp_path):
-        cache = ResultCache(tmp_path)
-        facts = analyze(ring, cache=cache)
-        clear_memo()
-        reloaded = analyze(ring, cache=cache)
-        assert reloaded.to_dict() == facts.to_dict()
-
-    def test_get_facts_misses_on_unknown_hash(self, tmp_path):
-        cache = ResultCache(tmp_path)
-        assert cache.get_facts("not-a-real-hash") is None
-
-    def test_facts_key_distinct_from_result_keys(self, ring, tmp_path):
-        cache = ResultCache(tmp_path)
-        key = ring.content_hash()
-        assert cache.facts_key_for(key) != key
 
 
 class TestFactBase:

@@ -1,10 +1,10 @@
-"""Tests for the kernel / LP relaxation prescreens."""
+"""Tests for the kernel prescreen."""
 
 import pytest
 
 from repro.core import check_usc
 from repro.core.context import SolverContext
-from repro.core.prescreen import kernel_prescreen, lp_prescreen
+from repro.core.prescreen import kernel_prescreen
 from repro.models import TABLE1_BENCHMARKS, vme_bus
 from repro.models._build import seq
 from repro.stg.stategraph import build_state_graph
@@ -51,19 +51,6 @@ class TestKernel:
         assert kernel_prescreen(ctx) is None
 
 
-class TestLP:
-    def test_conclusive_on_toggle(self):
-        ctx = SolverContext(unfold(toggle_stg()))
-        assert lp_prescreen(ctx) is False
-
-    def test_fractional_solutions_defeat_it(self):
-        """Even the box+compatibility relaxation admits half-integral
-        windows on a plain handshake — relaxations alone cannot decide
-        coding conflicts."""
-        ctx = SolverContext(unfold(handshake_stg()))
-        assert lp_prescreen(ctx) is None
-
-
 class TestSoundness:
     @pytest.mark.parametrize(
         "builder",
@@ -74,13 +61,12 @@ class TestSoundness:
         """A conclusive prescreen must agree with the oracle."""
         stg = builder()
         ctx = SolverContext(unfold(stg))
-        for screen in (kernel_prescreen, lp_prescreen):
-            if screen(ctx) is False:
-                assert build_state_graph(stg).has_usc()
+        if kernel_prescreen(ctx) is False:
+            assert build_state_graph(stg).has_usc()
 
     def test_check_usc_with_prescreens(self):
         stg = toggle_stg()
-        for prescreen in ("kernel", "lp", None):
+        for prescreen in ("kernel", None):
             report = check_usc(stg, prescreen=prescreen)
             assert report.holds
         # the conclusive prescreen answers without any search nodes

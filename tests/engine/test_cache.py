@@ -275,128 +275,79 @@ class TestConcurrentWriters:
 
 
 class TestRefineDomains:
-    """The v4 refine-cert / refine-cuts key domains."""
+    """The refine-cert key domain."""
 
     _HASH = "a" * 64
 
-    def _cert_body(self, cuts_after=0):
-        return {
-            "bound": {"place": "p", "sign": 1, "y_eq": {}, "y_ub": {}},
-            "cuts_after": cuts_after,
-            "cuts_referenced": cuts_after > 0,
-        }
+    def _cert_body(self):
+        return {"bound": {"place": "p", "sign": 1, "y_eq": {}, "y_ub": {}}}
 
     def test_cert_roundtrip(self, tmp_path):
         cache = ResultCache(tmp_path)
-        assert cache.get_refine_cert(self._HASH, "p", 1, "h") is None
-        assert cache.misses == 1
-        assert cache.put_refine_cert(self._HASH, "p", 1, "h", self._cert_body())
-        body = cache.get_refine_cert(self._HASH, "p", 1, "h")
-        assert body == self._cert_body()
-        assert cache.hits == 1
+        assert cache.get_refine_cert(self._HASH, "p", 1) is None
+        assert cache.put_refine_cert(self._HASH, "p", 1, self._cert_body())
+        assert cache.get_refine_cert(self._HASH, "p", 1) == self._cert_body()
 
-    def test_cert_key_separates_place_sign_and_cut_state(self, tmp_path):
+    def test_cert_lookups_leave_the_verdict_counters_alone(self, tmp_path):
+        """``hits``/``misses`` feed the verdict hit ratio; refinement
+        counts its own replays (``refine.cert_cache_hits``)."""
         cache = ResultCache(tmp_path)
-        cache.put_refine_cert(self._HASH, "p", 1, "h", self._cert_body())
-        assert cache.get_refine_cert(self._HASH, "q", 1, "h") is None
-        assert cache.get_refine_cert(self._HASH, "p", -1, "h") is None
-        assert cache.get_refine_cert(self._HASH, "p", 1, "other") is None
-        assert cache.get_refine_cert("b" * 64, "p", 1, "h") is None
+        assert cache.get_refine_cert(self._HASH, "p", 1) is None
+        cache.put_refine_cert(self._HASH, "p", 1, self._cert_body())
+        assert cache.get_refine_cert(self._HASH, "p", 1) is not None
+        assert (cache.hits, cache.misses) == (0, 0)
 
-    def test_cuts_roundtrip(self, tmp_path):
+    def test_cert_key_separates_stg_place_and_sign(self, tmp_path):
         cache = ResultCache(tmp_path)
-        assert cache.get_refine_cuts(self._HASH) is None
-        log = [{"kind": "trap", "places": ["p0"], "marked": True}]
-        assert cache.put_refine_cuts(self._HASH, log)
-        assert cache.get_refine_cuts(self._HASH) == log
+        cache.put_refine_cert(self._HASH, "p", 1, self._cert_body())
+        assert cache.get_refine_cert(self._HASH, "q", 1) is None
+        assert cache.get_refine_cert(self._HASH, "p", -1) is None
+        assert cache.get_refine_cert("b" * 64, "p", 1) is None
 
     def test_domains_never_collide_with_results(self, tmp_path):
         cache = ResultCache(tmp_path)
         job = _job()
         cache.put(job, execute_engine(job, "sg"))
-        cache.put_refine_cert(
-            job.stg_hash, "p", 1, "h", self._cert_body()
-        )
-        cache.put_refine_cuts(job.stg_hash, [])
-        assert len(cache) == 3
+        cache.put_refine_cert(job.stg_hash, "p", 1, self._cert_body())
+        assert len(cache) == 2
         assert cache.get(job) is not None
 
     def test_stats_by_domain(self, tmp_path):
         cache = ResultCache(tmp_path)
         job = _job()
         cache.put(job, execute_engine(job, "sg"))
-        cache.put_refine_cert(self._HASH, "p", 1, "h", self._cert_body())
-        cache.put_refine_cuts(self._HASH, [])
+        cache.put_refine_cert(self._HASH, "p", 1, self._cert_body())
         by_domain = cache.stats()["by_domain"]
-        assert by_domain == {
-            "result": 1,
-            "refine-cert": 1,
-            "refine-cuts": 1,
-        }
+        assert by_domain == {"result": 1, "refine-cert": 1}
 
     def test_corrupt_cert_is_a_miss(self, tmp_path):
         cache = ResultCache(tmp_path)
-        cache.put_refine_cert(self._HASH, "p", 1, "h", self._cert_body())
-        key = cache.refine_cert_key_for(self._HASH, "p", 1, "h")
-        path = cache._path(key)
+        cache.put_refine_cert(self._HASH, "p", 1, self._cert_body())
+        path = cache._path(cache.refine_cert_key_for(self._HASH, "p", 1))
         path.write_text("{not json")
-        assert cache.get_refine_cert(self._HASH, "p", 1, "h") is None
+        assert cache.get_refine_cert(self._HASH, "p", 1) is None
 
 
-class TestPruneConsistency:
-    """Pruning must never leave certs pointing at a vanished cut log."""
+class TestVerdictCounters:
+    """What ``batch`` and serve's ``cache.hit_ratio`` report."""
 
-    _HASH = "c" * 64
+    def _run(self, cache):
+        from repro.engine.pool import WorkerPool
+        from repro.engine.portfolio import run_jobs
 
-    def _populate(self, cache, cuts_referenced):
-        cache.put_refine_cuts(
-            self._HASH, [{"kind": "trap", "places": ["p"], "marked": True}]
-        )
-        cache.put_refine_cert(
-            self._HASH,
-            "p",
-            1,
-            "h",
-            {
-                "bound": {"place": "p", "sign": 1, "y_eq": {}, "y_ub": {}},
-                "cuts_after": 1 if cuts_referenced else 0,
-                "cuts_referenced": cuts_referenced,
-            },
-        )
+        stg = TABLE1_BENCHMARKS["CF-SYM-A-CSC"]()
+        jobs = [
+            VerificationJob(stg=stg, property=prop, use_refinement=True)
+            for prop in ("usc", "csc")
+        ]
+        with WorkerPool(max_workers=0) as pool:
+            return run_jobs(jobs, pool, cache=cache)
 
-    def test_orphaned_referencing_cert_is_removed(self, tmp_path):
-        import os
-        import time
-
-        cache = ResultCache(tmp_path)
-        self._populate(cache, cuts_referenced=True)
-        # age only the cut log past the cutoff: the age sweep removes it,
-        # then the consistency pass must take the referencing cert with it
-        log_path = cache._path(cache.refine_cuts_key_for(self._HASH))
-        old = time.time() - 3600
-        os.utime(log_path, (old, old))
-        removed = cache.prune(older_than=60)
-        assert removed == 2
-        assert cache.get_refine_cuts(self._HASH) is None
-        assert cache.get_refine_cert(self._HASH, "p", 1, "h") is None
-
-    def test_cut_free_cert_survives_log_removal(self, tmp_path):
-        import os
-        import time
-
-        cache = ResultCache(tmp_path)
-        self._populate(cache, cuts_referenced=False)
-        log_path = cache._path(cache.refine_cuts_key_for(self._HASH))
-        old = time.time() - 3600
-        os.utime(log_path, (old, old))
-        removed = cache.prune(older_than=60)
-        assert removed == 1
-        # a bound certified under zero cuts replays without any log
-        assert cache.get_refine_cert(self._HASH, "p", 1, "h") is not None
-
-    def test_fresh_pair_untouched(self, tmp_path):
-        cache = ResultCache(tmp_path)
-        self._populate(cache, cuts_referenced=True)
-        assert cache.prune(older_than=3600) == 0
-        assert cache.get_refine_cuts(self._HASH) is not None
-        assert cache.get_refine_cert(self._HASH, "p", 1, "h") is not None
+    def test_run_jobs_counts_one_lookup_per_job(self, tmp_path):
+        cold = ResultCache(tmp_path)
+        results = self._run(cold)
+        assert all(result.holds for result in results)
+        assert (cold.hits, cold.misses) == (0, 2)
+        warm = ResultCache(tmp_path)
+        self._run(warm)
+        assert (warm.hits, warm.misses) == (2, 0)

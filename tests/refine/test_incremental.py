@@ -18,8 +18,7 @@ from repro.engine.cache import ResultCache
 from repro.models import TABLE1_BENCHMARKS
 from repro.models.ring import lazy_ring, token_ring
 from repro.models.scalable import muller_pipeline
-from repro.refine import cut_set_hash, refine_prescreen, verify_cut
-from repro.refine.cuts import Cut
+from repro.refine import refine_prescreen
 from repro.unfolding import unfold
 
 pytest.importorskip("scipy")
@@ -30,11 +29,10 @@ def _context(stg):
 
 
 def _fingerprint(outcome):
-    """Everything observable: verdict, cuts, certificate bytes."""
+    """Everything observable: verdict, certificate bytes."""
     certificate = outcome.certificate
     return (
         outcome.refuted,
-        tuple(cut.to_dict().items() for cut in outcome.cuts),
         None
         if certificate is None
         else json.dumps(certificate.to_dict(), sort_keys=True),
@@ -107,64 +105,6 @@ class TestCertificateCache:
         assert warm.cert_cache_hits == 0  # nothing replayed
         assert warm.lp_calls == cold.lp_calls  # everything re-solved
 
-    def test_corrupted_cut_log_is_dropped_not_trusted(self, store):
-        stg, cold = self._cold(store)
-        stg_hash = stg.content_hash()
-        bogus = Cut(kind="trap", places=("no-such-place",), marked=True)
-        store.put_refine_cuts(stg_hash, [bogus.to_dict()])
-        warm = refine_prescreen(_context(stg), cert_store=store)
-        assert _fingerprint(warm) == _fingerprint(cold)
-        assert not warm.cuts  # the forged log entry was never replayed
-
-    def test_cached_bound_replays_log_cuts_first(self, store):
-        """A cert certified under a deeper cut state re-applies the missing
-        log cuts (exact-verified) before its bound is re-checked."""
-        from repro.analysis import analyze
-        from repro.analysis.facts import FACT_TRAP
-        from repro.refine.cuts import CUT_TRAP
-
-        stg, cold = self._cold(store)
-        stg_hash = stg.content_hash()
-        context = _context(stg)
-        # a genuine marked trap of the unfolded net makes a verifiable cut
-        from repro.refine.relaxation import build_relaxation
-
-        net = build_relaxation(context).net
-        trap_fact = next(
-            fact
-            for fact in analyze(stg).of_kind(FACT_TRAP)
-            if fact.justification.get("marked")
-            and all(
-                place in net._place_index
-                for place in fact.justification["places"]
-            )
-        )
-        cut = Cut(
-            kind=CUT_TRAP,
-            places=tuple(sorted(trap_fact.justification["places"])),
-            marked=True,
-        )
-        assert verify_cut(net, cut)
-        store.put_refine_cuts(stg_hash, [cut.to_dict()])
-        # rewrite one stored cert to claim it was certified after that cut
-        rewritten = 0
-        for path in store._entries():
-            payload = json.loads(path.read_text())
-            if payload.get("domain") != "refine-cert":
-                continue
-            payload["body"]["cuts_after"] = 1
-            payload["body"]["cuts_referenced"] = True
-            payload["cuts_referenced"] = True
-            path.write_text(json.dumps(payload))
-            rewritten += 1
-            break
-        assert rewritten == 1
-        warm = refine_prescreen(_context(stg), cert_store=store)
-        # the extension cut was replayed before the (still valid) bound
-        assert warm.refuted
-        assert cut in warm.cuts
-        assert warm.cert_cache_hits > 0
-
     def test_distinct_objectives_get_distinct_entries(self, store):
         _, cold = self._cold(store)
         certs = sum(
@@ -176,8 +116,3 @@ class TestCertificateCache:
         # objectives reuse their twin's entry and store nothing
         assert certs == len(cold.certificate.bounds) - cold.dominated
 
-    def test_cut_set_hash_is_order_sensitive(self):
-        a = Cut(kind="trap", places=("p", "q"), marked=True)
-        b = Cut(kind="siphon", places=("r",), marked=False)
-        assert cut_set_hash([a, b]) != cut_set_hash([b, a])
-        assert cut_set_hash([]) == cut_set_hash([])

@@ -5,10 +5,13 @@ from pathlib import Path
 
 import pytest
 
+from repro import obs
+from repro.analysis import clear_memo
 from repro.cli import main
+from repro.core.verifier import check_csc, check_usc
 from repro.engine.jobs import VerificationJob
-from repro.models import vme_bus
-from repro.obs.tracer import PHASE_PREFIXES
+from repro.models import lazy_ring, token_ring, vme_bus
+from repro.obs.tracer import PHASE_PREFIXES, Tracer
 from repro.serve.protocol import SCHEMA, ProtocolError, parse_check_request
 
 _HARNESS_PATH = (
@@ -66,6 +69,31 @@ class TestObsAndProfile:
         assert main(["profile", "RING"]) == 0
         lines = capsys.readouterr().out.splitlines()
         assert not any(line.strip().startswith("refine") for line in lines)
+
+
+class TestFactBaseLicence:
+    """Refinement reads the FactBase only for the DCF licence, which a
+    structurally nested net never needs."""
+
+    @pytest.mark.parametrize(
+        "check, build",
+        [(check_csc, lambda: lazy_ring(3)), (check_usc, lambda: token_ring(6))],
+        ids=["vme-chain-3-csc", "token-ring-6-usc"],
+    )
+    def test_nested_net_builds_no_factbase(self, check, build):
+        pytest.importorskip("scipy")
+        stg = build()
+        clear_memo()
+        probe = Tracer(enabled=True)
+        previous = obs.set_tracer(probe)
+        try:
+            check(stg, use_refinement=True)
+        finally:
+            obs.set_tracer(previous)
+            clear_memo()
+        names = {span.name for span in probe.spans}
+        assert "refine.prescreen" in names
+        assert "analysis.compute" not in names
 
 
 class TestBenchAxis:

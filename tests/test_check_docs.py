@@ -1,5 +1,5 @@
-"""The docs drift checker: rule, phase and span sync, link resolution,
-reachability."""
+"""The docs drift checker: rule, phase, span and counter sync, link
+resolution, reachability."""
 
 import importlib.util
 from pathlib import Path
@@ -202,3 +202,65 @@ class TestSpanSync:
             + "\n| name | kind | meaning |\n|---|---|---|\n| `x.y` | counter | c |\n"
         )
         assert checker.span_sync_problems() == []
+
+
+class TestCounterSync:
+    TABLE = "## Counters\n\n| name | kind | meaning |\n|---|---|---|\n{rows}"
+
+    def _tree(self, fake_docs, rows):
+        package = fake_docs.parent / "src" / "repro"
+        (package / "obs").mkdir(parents=True)
+        (package / "mod.py").write_text(self.CODE)
+        # the tracer API's own calls are not emission sites
+        (package / "obs" / "__init__.py").write_text(
+            'def incr(name, amount=1):\n    _default.incr("obs.internal")\n'
+        )
+        (fake_docs / "observability.md").write_text(
+            self.TABLE.format(
+                rows="".join(f"| {row} | counter | meaning |\n" for row in rows)
+            )
+        )
+
+    CODE = (
+        "from repro import obs\n\n"
+        "def run(tracer, stats, kind):\n"
+        '    """obs.incr("in.docstring") is not a call."""\n'
+        '    obs.incr("a.calls")\n'
+        '    tracer.incr("b.nodes", 3)\n'
+        '    tracer.gauge_max("b.peak", 7)\n'
+        '    obs.incr(f"engine.{kind}")  # not a literal name\n'
+        '    stats.incr("not.a.tracer")\n'
+    )
+
+    COMPLETE = ["`a.calls`", "`b.nodes` / `b.peak`"]
+
+    def test_repo_table_in_sync(self):
+        assert checker.counter_sync_problems() == []
+
+    def test_complete_table_passes(self, fake_docs):
+        self._tree(fake_docs, self.COMPLETE)
+        assert checker.counter_sync_problems() == []
+
+    def test_missing_counter_flagged(self, fake_docs):
+        self._tree(fake_docs, ["`a.calls`", "`b.nodes`"])
+        (problem,) = checker.counter_sync_problems()
+        assert "'b.peak'" in problem and "no row" in problem
+
+    def test_stale_row_flagged(self, fake_docs):
+        self._tree(fake_docs, self.COMPLETE + ["`gone.counter`"])
+        (problem,) = checker.counter_sync_problems()
+        assert "'gone.counter'" in problem and "no code" in problem
+
+    def test_stale_part_of_a_multi_name_row_flagged(self, fake_docs):
+        self._tree(fake_docs, ["`a.calls`", "`b.nodes` / `b.peak` / `b.gone`"])
+        (problem,) = checker.counter_sync_problems()
+        assert "'b.gone'" in problem and "no code" in problem
+
+    def test_other_tables_ignored(self, fake_docs):
+        self._tree(fake_docs, self.COMPLETE)
+        page = fake_docs / "observability.md"
+        page.write_text(
+            page.read_text()
+            + "\n| span | where | meaning |\n|---|---|---|\n| `x.y` | `m` | s |\n"
+        )
+        assert checker.counter_sync_problems() == []

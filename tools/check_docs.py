@@ -1,8 +1,8 @@
 #!/usr/bin/env python
-"""Docs drift checker: rule catalogue, phase and span table sync, link
-resolution, reachability.
+"""Docs drift checker: rule catalogue, phase, span and counter table sync,
+link resolution, reachability.
 
-Five independent guarantees, all enforced in CI next to ruff/mypy:
+Six independent guarantees, all enforced in CI next to ruff/mypy:
 
 1. **Rule catalogue sync** (the original ``check_rule_docs`` contract).
    The rule tables in docs/linting.md carry one row per rule id
@@ -31,6 +31,13 @@ Five independent guarantees, all enforced in CI next to ruff/mypy:
    by an f-string (``f"engine.{engine}"``) matches a documented pattern
    (``engine.<name>``): each placeholder stands for any one segment.
 
+6. **Counter table sync.**  Every literal counter or gauge name passed to
+   ``obs.incr`` / ``tracer.incr`` / ``obs.gauge`` / ``obs.gauge_max`` (and
+   their ``tracer.`` forms) under ``src/repro`` has a row in the
+   ``| name | kind | meaning |`` table of docs/observability.md, and every
+   backticked name in that column is emitted.  A row naming several
+   counters (``ilp.nodes`` / ``ilp.solutions``) names each of them.
+
 Run from the repository root::
 
     PYTHONPATH=src python tools/check_docs.py
@@ -42,7 +49,7 @@ import ast
 import re
 import sys
 from pathlib import Path
-from typing import Dict, Iterator, List, Set, Tuple
+from typing import Dict, Iterator, List, Optional, Set, Tuple
 
 ROOT = Path(__file__).resolve().parents[1]
 DOCS = ROOT / "docs"
@@ -271,25 +278,40 @@ def _span_name(node: ast.expr) -> str:
     return ""
 
 
-def emitted_spans(package: Path) -> Dict[str, str]:
-    """Span name -> first emitting file, over every module in ``package``
-    outside ``obs/`` (which defines the tracer API rather than using it)."""
-    spans: Dict[str, str] = {}
+def _emitted(
+    package: Path, methods: Set[str], receivers: Optional[Set[str]] = None
+) -> Dict[str, str]:
+    """Name -> first emitting file of every ``<x>.<method>(name, ...)``
+    call in ``package`` outside ``obs/`` (which defines the tracer API
+    rather than using it).  ``receivers``, when given, limits ``<x>`` to
+    those plain names."""
+    names: Dict[str, str] = {}
     for path in sorted(package.rglob("*.py")):
         if path.relative_to(package).parts[0] == "obs":
             continue
         tree = ast.parse(path.read_text(encoding="utf-8"), str(path))
         for node in ast.walk(tree):
-            if (
+            if not (
                 isinstance(node, ast.Call)
                 and isinstance(node.func, ast.Attribute)
-                and node.func.attr in _SPAN_METHODS
+                and node.func.attr in methods
                 and node.args
             ):
-                name = _span_name(node.args[0])
-                if name:
-                    spans.setdefault(name, str(path.relative_to(package)))
-    return spans
+                continue
+            receiver = node.func.value
+            if receivers and not (
+                isinstance(receiver, ast.Name) and receiver.id in receivers
+            ):
+                continue
+            name = _span_name(node.args[0])
+            if name:
+                names.setdefault(name, str(path.relative_to(package)))
+    return names
+
+
+def emitted_spans(package: Path) -> Dict[str, str]:
+    """Span name -> first emitting file (see :func:`_emitted`)."""
+    return _emitted(package, _SPAN_METHODS)
 
 
 def documented_spans(text: str) -> Set[str]:
@@ -321,12 +343,62 @@ def span_sync_problems() -> List[str]:
     return problems
 
 
+# -- counter table sync --------------------------------------------------------
+
+#: Tracer methods whose first argument names a counter or gauge, and the
+#: names the tracer goes by at the call sites.
+_COUNTER_METHODS = {"incr", "gauge", "gauge_max"}
+_COUNTER_RECEIVERS = {"obs", "tracer"}
+
+
+def emitted_counters(package: Path) -> Dict[str, str]:
+    """Literal counter/gauge name -> first emitting file; names built at
+    run time (f-strings, variables) are not counted."""
+    return {
+        name: where
+        for name, where in _emitted(
+            package, _COUNTER_METHODS, _COUNTER_RECEIVERS
+        ).items()
+        if "<>" not in name
+    }
+
+
+def documented_counters(text: str) -> Set[str]:
+    """Backticked names in the first column of the ``| name | kind |``
+    table."""
+    return {
+        name
+        for cells in table_rows(text, ["name", "kind"])
+        for name in re.findall(r"`([^`]+)`", cells[0])
+    }
+
+
+def counter_sync_problems() -> List[str]:
+    emitted = emitted_counters(ROOT / "src" / "repro")
+    page = DOCS / "observability.md"
+    documented = documented_counters(page.read_text(encoding="utf-8"))
+
+    problems: List[str] = []
+    for name in sorted(set(emitted) - documented):
+        problems.append(
+            f"counter {name!r} (emitted in {emitted[name]}) has no row in the "
+            f"docs/observability.md counter table"
+        )
+    for name in sorted(documented - set(emitted)):
+        problems.append(
+            f"docs/observability.md documents counter {name!r} but no code "
+            f"under src/repro emits it"
+        )
+    return problems
+
+
 def main() -> int:
     pages = sorted(DOCS.glob("*.md")) + [ROOT / "README.md"]
     problems = (
         rule_sync_problems()
         + phase_sync_problems()
         + span_sync_problems()
+        + counter_sync_problems()
         + link_problems(pages)
         + reachability_problems()
     )
@@ -335,9 +407,9 @@ def main() -> int:
             print(f"check_docs: {problem}", file=sys.stderr)
         return 1
     print(
-        f"check_docs: {len(pages)} pages checked — rule catalogue, phase "
-        f"and span tables in sync, all links resolve, every docs page "
-        f"reachable from the index"
+        f"check_docs: {len(pages)} pages checked — rule catalogue, phase, "
+        f"span and counter tables in sync, all links resolve, every docs "
+        f"page reachable from the index"
     )
     return 0
 

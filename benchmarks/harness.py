@@ -235,7 +235,6 @@ def _refine_counter_probe(case, stg, cold_probe, reset_facts):
         "cert_cache_hits": int(
             cold_probe.counters.get("refine.cert_cache_hits", 0)
         ),
-        "warm_hits": int(cold_probe.counters.get("refine.warm_hits", 0)),
         "dominated": int(cold_probe.counters.get("refine.dominated", 0)),
     }
     with tempfile.TemporaryDirectory(prefix="repro-bench-certs-") as tmp:

@@ -3,8 +3,8 @@
 Computes, once per canonical STG hash, a :class:`FactBase` of whole-net
 structural facts: concurrency/conflict/causality relation
 over-approximations refined by place invariants and trap/siphon arguments,
-minimal traps and siphons, signal trigger/lock structure, and conflict-core
-extraction for verifier witnesses.  Every fact carries a machine-checkable
+minimal traps and siphons, and signal trigger/lock structure.  Every fact
+carries a machine-checkable
 justification replayed by the independent :func:`verify_fact` — the same
 no-trust contract as :mod:`repro.lint.certificates`.
 
@@ -14,7 +14,6 @@ licence of the verifier's refinement prescreen (:mod:`repro.core.verifier`),
 which builds the FactBase only where Proposition 1's structural test fails.
 """
 
-from repro.analysis.cores import ConflictCore, extract_core
 from repro.analysis.engine import (
     AnalysisOptions,
     FactBase,
@@ -22,7 +21,6 @@ from repro.analysis.engine import (
     clear_memo,
 )
 from repro.analysis.facts import (
-    FACT_CONFLICT_CORE,
     FACT_DEAD_TRANSITION,
     FACT_KINDS,
     FACT_LOCK,
@@ -46,8 +44,6 @@ from repro.analysis.structure import (
 
 __all__ = [
     "AnalysisOptions",
-    "ConflictCore",
-    "FACT_CONFLICT_CORE",
     "FACT_DEAD_TRANSITION",
     "FACT_KINDS",
     "FACT_LOCK",
@@ -61,7 +57,6 @@ __all__ = [
     "FactBase",
     "analyze",
     "clear_memo",
-    "extract_core",
     "is_siphon",
     "is_trap",
     "maximal_siphon",

@@ -23,12 +23,10 @@ from typing import Any, Dict, FrozenSet, List, Optional, Set
 from repro import obs
 from repro.analysis.facts import (
     FACT_DEAD_TRANSITION,
-    FACT_LOCK,
     FACT_NEVER_COENABLED,
     FACT_SIPHON,
     FACT_STRUCTURAL_CONFLICT,
     FACT_TRAP,
-    FACT_TRIGGER,
     Fact,
     _justification,
     verify_fact,
@@ -86,21 +84,8 @@ class FactBase:
             return True
         return frozenset((t1, t2)) in self._exclusive
 
-    def may_be_coenabled(self, t1: str, t2: str) -> bool:
-        """Sound over-approximation of simultaneous enabledness (and hence
-        of concurrency): False only under a ``never-coenabled`` or
-        ``dead-transition`` proof."""
-        return not self.never_coenabled(t1, t2)
-
     def in_structural_conflict(self, t1: str, t2: str) -> bool:
         return frozenset((t1, t2)) in self._conflicts
-
-    def is_dead(self, transition: str) -> bool:
-        return transition in self._dead
-
-    def may_cause(self, t1: str, t2: str) -> bool:
-        """Sound over-approximation of "t2 can fire causally after t1"."""
-        return t2 in self.may_follow.get(t1, ())
 
     def proves_dynamic_conflict_freeness(self) -> bool:
         """Every structural-conflict pair is proven never co-enabled.

@@ -37,12 +37,6 @@ Fact kinds and their justifications:
     transition of the second edge.  Justification names the witnessing
     transition pair and place.
 
-``conflict-core``
-    A replayable shrunk witness: firing ``base`` from the initial marking
-    and then ``window`` stays enabled, the window's signal-change vector
-    vanishes, and the two end markings differ (USC) — with differing
-    output-excitation sets for CSC cores.
-
 The soundness contract: a fact whose justification passes
 :func:`verify_fact` is true of the net, unconditionally.  Advisory claims
 that the checker does *not* establish (e.g. minimality of a trap) live only
@@ -66,7 +60,6 @@ FACT_SIPHON = "siphon"
 FACT_DEAD_TRANSITION = "dead-transition"
 FACT_TRIGGER = "trigger"
 FACT_LOCK = "lock"
-FACT_CONFLICT_CORE = "conflict-core"
 
 FACT_KINDS = (
     FACT_NEVER_COENABLED,
@@ -76,7 +69,6 @@ FACT_KINDS = (
     FACT_DEAD_TRANSITION,
     FACT_TRIGGER,
     FACT_LOCK,
-    FACT_CONFLICT_CORE,
 )
 
 
@@ -254,48 +246,6 @@ def _check_lock(stg: STG, fact: Fact) -> bool:
     return _check_edge_pair(stg, fact, trigger=False)
 
 
-def _check_conflict_core(stg: STG, fact: Fact) -> bool:
-    just = fact.justification
-    net = stg.net
-    prop = just["property"]
-    if prop not in ("usc", "csc"):
-        return False
-    base = [str(t) for t in just["base"]]
-    window = [str(t) for t in just["window"]]
-    if not window:
-        return False
-    from repro.exceptions import ReproError
-
-    try:
-        marking = net.initial_marking
-        for name in base:
-            marking = net.fire_by_name(marking, name)
-        mark_a = marking
-        for name in window:
-            marking = net.fire_by_name(marking, name)
-        mark_b = marking
-    except ReproError:
-        return False  # not replayable
-    # the window must be code-balanced (equal codes at both end markings)
-    balance = [0] * len(stg.signals)
-    for name in window:
-        signal, delta = stg.signal_change(net.transition_index(name))
-        if signal is not None:
-            balance[signal] += delta
-    if any(balance):
-        return False
-    if mark_a == mark_b:
-        return False
-    if prop == "csc":
-        from repro.stg.nextstate import enabled_outputs
-
-        if enabled_outputs(stg, mark_a, weak=True) == enabled_outputs(
-            stg, mark_b, weak=True
-        ):
-            return False
-    return True
-
-
 _CHECKERS = {
     FACT_NEVER_COENABLED: _check_never_coenabled,
     FACT_STRUCTURAL_CONFLICT: _check_structural_conflict,
@@ -304,5 +254,4 @@ _CHECKERS = {
     FACT_DEAD_TRANSITION: _check_dead_transition,
     FACT_TRIGGER: _check_trigger,
     FACT_LOCK: _check_lock,
-    FACT_CONFLICT_CORE: _check_conflict_core,
 }

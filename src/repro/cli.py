@@ -281,13 +281,16 @@ def _check_coding(
 
 
 def _check_normalcy(stg, method: str, node_budget: Optional[int] = None) -> bool:
-    if method in ("ilp",):
+    if method == "ilp":
         from repro.core import check_normalcy
 
         return check_normalcy(stg, node_budget=node_budget).normal
-    from repro.stg.normalcy import check_normalcy_state_graph
+    if method == "sg":
+        from repro.stg.normalcy import check_normalcy_state_graph
 
-    return check_normalcy_state_graph(stg).normal
+        return check_normalcy_state_graph(stg).normal
+    # the same refusal the engine portfolio gives (engine.jobs._unsupported)
+    raise ReproError(f"engine {method!r} does not support property 'normalcy'")
 
 
 def _cmd_profile(args: argparse.Namespace) -> int:

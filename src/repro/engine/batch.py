@@ -98,21 +98,17 @@ def build_jobs(
     timeout: Optional[float] = None,
     node_budget: Optional[int] = None,
 ) -> List[VerificationJob]:
-    """One job per target × property, all racing the same engine portfolio."""
-    jobs: List[VerificationJob] = []
-    for target in targets:
-        name, stg = resolve_target(target)
-        for prop in properties:
-            jobs.append(
-                VerificationJob(
-                    stg=stg,
-                    property=prop,
-                    engines=tuple(engines),
-                    timeout=timeout,
-                    node_budget=node_budget,
-                    name=name,
-                )
-            )
+    """One job per target × property, all racing the same engine portfolio.
+
+    :func:`build_jobs_reporting` without the error rows: the first target
+    (or property/engine name) that cannot become a job raises
+    :class:`ReproError` with that error's message.
+    """
+    jobs, errors = build_jobs_reporting(
+        targets, properties, engines, timeout, node_budget
+    )
+    if errors:
+        raise ReproError(errors[0].error)
     return jobs
 
 
@@ -123,7 +119,7 @@ def build_jobs_reporting(
     timeout: Optional[float] = None,
     node_budget: Optional[int] = None,
 ) -> Tuple[List[VerificationJob], List[JobResult]]:
-    """Like :func:`build_jobs`, but bad targets become structured errors.
+    """One job per target × property; bad targets become structured errors.
 
     A target that cannot be resolved (unreadable, undecodable or unparsable
     ``.g`` file, unknown model name) yields one ``error``-verdict

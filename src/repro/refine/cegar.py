@@ -9,9 +9,9 @@ a fast floating-point LP and reads the optimum:
 * **optimum < 1** — because the *integral* token-flow difference of a
   window is an integer, a relaxation bound below 1 already proves the
   integral maximum is ≤ 0 (Chvátal–Gomory rounding).  The solver's duals
-  are rationalised, repaired against the box rows, and certified with
-  exact arithmetic (:mod:`repro.refine.certificate`); only an *exactly
-  certified* bound counts.
+  are rationalised, completed by exact box-row multipliers, and certified
+  with exact arithmetic (:mod:`repro.refine.certificate`); only an
+  *exactly certified* bound counts.
 * **optimum ≥ 1** — the relaxation moves a token; the sweep cannot refute
   and the exact search must run.  A refutation needs every objective
   certified, so the sweep stops at the first one that is not
@@ -35,16 +35,13 @@ Avoiding solves
 
 The ``2|P|`` objectives share **one** solver model per run
 (:mod:`repro.refine.solver`): the constraint matrix is loaded once and each
-objective is a cost swap.  Three further tiers avoid LP work, each
+objective is a cost swap.  Two further tiers avoid LP work, each
 deterministic so the certificate stays byte-identical to the
 from-scratch reference path:
 
 * **dominance** — two objectives with the same ``(sign, flow row)`` have
   the same coefficient vector, so a dual bound verified for one covers
   the other verbatim (counter ``refine.dominated``);
-* **sign-convention memory** — the dual sign-guess that certified the
-  previous objective is tried first on the next (counter
-  ``refine.warm_hits``: the remembered guess worked first try);
 * **certificate store** — with a ``cert_store``, previously verified
   bounds keyed ``(stg hash, place, sign)`` replay after an exact
   :func:`~repro.refine.certificate.check_dual_bound` re-check — never
@@ -60,7 +57,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd
 from typing import Any, Dict, List, Optional, Tuple
 
 import repro.obs as obs
@@ -69,6 +65,7 @@ from repro.refine.certificate import (
     DualBound,
     RefinementCertificate,
     check_dual_bound,
+    combine_rows,
     verify_certificate,
 )
 from repro.refine.relaxation import Relaxation, build_relaxation
@@ -83,9 +80,6 @@ _DUAL_LIMIT = 10**9
 #: Rationalised multipliers closer to zero than this are float noise.
 _NOISE = Fraction(1, 10**6)
 
-#: Dual sign-convention guesses, default order (see ``_certify``).
-_GUESSES: Tuple[Tuple[int, int], ...] = ((1, 1), (1, -1), (-1, 1), (-1, -1))
-
 
 @dataclass
 class RefinementOutcome:
@@ -96,86 +90,12 @@ class RefinementOutcome:
     iterations: int = 0              # optima >= 1 met (0 or 1: the sweep stops)
     lp_calls: int = 0
     dominated: int = 0               # objectives covered by a verified twin
-    warm_hits: int = 0               # remembered sign guess certified first try
     cert_cache_hits: int = 0         # bounds replayed from the cert store
     reason: str = ""
 
 
-def _rationalise(value: float, limit: int) -> Fraction:
-    return Fraction(float(value)).limit_denominator(limit)
-
-
-def _attempt_bound(
-    y_eq: Dict[int, Fraction],
-    y_ub: Dict[int, Fraction],
-    objective: List[int],
-    relaxation: Relaxation,
-) -> Optional[Tuple[Dict[int, Fraction], Dict[int, Fraction]]]:
-    """Repair one sign-convention guess into an exact dual witness.
-
-    Rejects genuinely negative inequality multipliers (drops noise-sized
-    ones), then closes any dual-infeasibility deficit at variable ``j`` by
-    bumping the multiplier of ``j``'s box row ``x_j <= 1`` — which restores
-    feasibility at the price of raising the bound by the deficit.  Returns
-    the repaired vectors iff the final bound is < 1.
-
-    Row combination runs over the sparse row supports
-    (:attr:`~repro.refine.relaxation.Relaxation.sparse_eq_rows`), not all
-    ``2n`` columns per row, and — after rescaling every multiplier by the
-    common denominator — in plain integer arithmetic: exactly the same
-    values as the :class:`~fractions.Fraction` formulation (the scale
-    divides out at the end), at a fraction of the cost.
-    """
-    eq_sparse = relaxation.sparse_eq_rows
-    ub_sparse = relaxation.sparse_ub_rows
-    box_offset = relaxation.box_offset
-    num_vars = len(objective)
-    box_end = box_offset + num_vars
-    cleaned: Dict[int, Fraction] = {}
-    for row, mult in y_ub.items():
-        if mult < 0:
-            if mult > -_NOISE:
-                continue
-            return None
-        if mult != 0:
-            cleaned[row] = mult
-    y_ub = cleaned
-    scale = 1
-    for mult in y_eq.values():
-        den = mult.denominator
-        scale = scale * den // gcd(scale, den)
-    for mult in y_ub.values():
-        den = mult.denominator
-        scale = scale * den // gcd(scale, den)
-    combined = [0] * num_vars          # scaled by ``scale``
-    bound = 0                          # scaled by ``scale``
-    for row, mult in y_eq.items():
-        m = mult.numerator * (scale // mult.denominator)
-        entries, rhs = eq_sparse[row]
-        for j, c in entries:
-            combined[j] += m * c
-        bound += m * rhs
-    for row, mult in y_ub.items():
-        m = mult.numerator * (scale // mult.denominator)
-        if box_offset <= row < box_end:
-            combined[row - box_offset] += m
-            bound += m
-            continue
-        entries, rhs = ub_sparse[row]
-        for j, c in entries:
-            combined[j] += m * c
-        bound += m * rhs
-    for j in range(num_vars):
-        deficit = objective[j] * scale - combined[j]
-        if deficit > 0:
-            box_row = box_offset + j
-            y_ub[box_row] = y_ub.get(box_row, Fraction(0)) + Fraction(
-                deficit, scale
-            )
-            bound += deficit
-    if bound >= scale:
-        return None
-    return dict(y_eq), y_ub
+def _rationalise(value: float) -> Fraction:
+    return Fraction(value).limit_denominator(_DUAL_LIMIT)
 
 
 def _certify(
@@ -184,37 +104,47 @@ def _certify(
     place_name: str,
     sign: int,
     result: SolveResult,
-    guesses: Tuple[Tuple[int, int], ...],
-) -> Optional[Tuple[DualBound, Tuple[int, int], bool]]:
+) -> Optional[DualBound]:
     """Turn a float LP solve with optimum < 1 into an exact DualBound.
 
-    HiGHS dual sign conventions differ across problem transformations, so
-    the duals are tried under both signs for the equality and the
-    inequality blocks, in ``guesses`` order (the sweep puts the previously
-    successful guess first).  Returns ``(bound, guess, first_try)`` for
-    the first guess that repairs into a valid bound below 1; ``None``
-    means no guess certifies — the caller must stop the sweep (sound,
-    merely weaker).
+    The backend signs its duals the way the certificate reads them
+    (:class:`~repro.refine.solver.SolveResult`).  They are rationalised;
+    noise-sized negative inequality multipliers are dropped and real ones
+    reject the solve.  Each box row ``x_j <= 1`` then gets exactly the
+    multiplier that closes variable ``j``'s dual-feasibility deficit, and
+    :func:`~repro.refine.certificate.check_dual_bound` decides whether the
+    bound is below 1.  ``None`` means it is not — the caller must stop the
+    sweep (sound, merely weaker).
     """
+    y_eq = {row: _rationalise(dual) for row, dual in result.eq_duals.items()}
+    y_ub: Dict[int, Fraction] = {}
+    for row, dual in result.ub_duals.items():
+        mult = _rationalise(dual)
+        if mult <= -_NOISE:
+            return None
+        if mult > 0:
+            y_ub[row] = mult
+    combination = combine_rows(
+        len(objective), relaxation.eq_rows, relaxation.ub_rows, y_eq, y_ub
+    )
+    if combination is None:
+        return None
+    combined, _, scale = combination
     box_offset = relaxation.box_offset
-    for attempt, (eq_sign, ub_sign) in enumerate(guesses):
-        y_eq = {
-            row: eq_sign * _rationalise(mult, _DUAL_LIMIT)
-            for row, mult in result.eq_duals.items()
-        }
-        y_ub: Dict[int, Fraction] = {
-            row: ub_sign * _rationalise(mult, _DUAL_LIMIT)
-            for row, mult in result.ub_duals.items()
-        }
-        for var, mult in result.box_duals.items():
-            y_ub[box_offset + var] = ub_sign * _rationalise(mult, _DUAL_LIMIT)
-        repaired = _attempt_bound(y_eq, y_ub, objective, relaxation)
-        if repaired is not None:
-            bound = DualBound(
-                place=place_name, sign=sign, y_eq=repaired[0], y_ub=repaired[1]
-            )
-            return bound, (eq_sign, ub_sign), attempt == 0
-    return None
+    for j, c in enumerate(objective):
+        deficit = c * scale - combined[j]
+        if deficit > 0:
+            y_ub[box_offset + j] = Fraction(deficit, scale)
+    value = check_dual_bound(
+        objective,
+        relaxation.eq_rows,
+        relaxation.canonical_inequalities,
+        y_eq,
+        y_ub,
+    )
+    if value is None or value >= 1:
+        return None
+    return DualBound(place=place_name, sign=sign, y_eq=y_eq, y_ub=y_ub)
 
 
 def _cached_bound(
@@ -269,7 +199,6 @@ def refine_prescreen(
     stg_hash = context.stg.content_hash() if cert_store is not None else ""
     #: ``(sign, flow row) -> verified DualBound`` — the dominance tier.
     seen: Dict[Tuple[int, Tuple[int, ...]], DualBound] = {}
-    remembered: Optional[Tuple[int, int]] = None
     #: Freshly certified bounds to persist (dropped if the replay fails).
     to_store: List[DualBound] = []
     for place in flowing:
@@ -319,23 +248,11 @@ def refine_prescreen(
                 obs.incr("refine.iterations")
                 reason = "movable-solution"
                 break
-            guesses = _GUESSES
-            if remembered is not None and remembered != _GUESSES[0]:
-                guesses = (remembered,) + tuple(
-                    g for g in _GUESSES if g != remembered
-                )
             with obs.trace("refine.certify"):
-                certified = _certify(
-                    relaxation, objective, place_name, sign, result, guesses
-                )
-            if certified is None:
+                dual = _certify(relaxation, objective, place_name, sign, result)
+            if dual is None:
                 reason = "certification-failure"
                 break
-            dual, guess, first_try = certified
-            if remembered is not None and first_try:
-                outcome.warm_hits += 1
-                obs.incr("refine.warm_hits")
-            remembered = guess
             bounds.append(dual)
             seen[signature] = dual
             if cert_store is not None:

@@ -16,7 +16,9 @@ Replay (:func:`verify_certificate`) needs **no LP solver**:
 2. each dual vector is checked by :func:`check_dual_bound` — multipliers
    non-negative on inequalities, the combined row dominates the objective
    coordinatewise, and the combined right-hand side is below 1 — all in
-   exact integer/:class:`~fractions.Fraction` arithmetic;
+   exact integer/:class:`~fractions.Fraction` arithmetic, through the one
+   row-combination routine (:func:`combine_rows`) the sweep certifies
+   with;
 3. *coverage* is enforced: a certificate missing any (place, direction)
    objective is rejected, so a verifier cannot be talked into skipping
    objectives.
@@ -26,8 +28,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from math import gcd
-from typing import Any, Dict, List, Optional, Sequence
+from math import lcm
+from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 from repro.core.context import SolverContext
 from repro.refine.relaxation import Row, build_relaxation
@@ -116,6 +118,42 @@ class RefinementCertificate:
         )
 
 
+def combine_rows(
+    num_vars: int,
+    eq_rows: Sequence[Row],
+    ub_rows: Sequence[Row],
+    y_eq: Dict[int, Fraction],
+    y_ub: Dict[int, Fraction],
+) -> Optional[Tuple[List[int], int, int]]:
+    """The exact row combination ``(A_eq'y_eq + A_ub'y_ub, y_eq·b_eq +
+    y_ub·b_ub)`` behind every dual bound, or ``None`` if a multiplier names
+    an out-of-range row or an inequality multiplier is negative.
+
+    Returns ``(combined, bound, scale)``: the multipliers are rescaled by
+    their common denominator ``scale`` so the combination runs over each
+    row's support in plain integer arithmetic — ``combined`` and ``bound``
+    are the exact values times ``scale``.
+    """
+    scale = lcm(
+        *(mult.denominator for mult in y_eq.values()),
+        *(mult.denominator for mult in y_ub.values()),
+    )
+    combined = [0] * num_vars
+    bound = 0
+    for rows, multipliers, free in ((eq_rows, y_eq, True), (ub_rows, y_ub, False)):
+        for row, mult in multipliers.items():
+            if not 0 <= row < len(rows) or (mult < 0 and not free):
+                return None
+            if mult == 0:
+                continue
+            m = mult.numerator * (scale // mult.denominator)
+            support, rhs = rows[row]
+            for j, c in support:
+                combined[j] += m * c
+            bound += m * rhs
+    return combined, bound, scale
+
+
 def check_dual_bound(
     objective: Sequence[int],
     eq_rows: Sequence[Row],
@@ -128,49 +166,13 @@ def check_dual_bound(
     ``x >= 0`` has ``c·x <= y_eq·b_eq + y_ub·b_ub``.  Returns that bound,
     or ``None`` if the multipliers are not a valid witness (out-of-range
     row, negative inequality multiplier, or dominated coordinate).
-
-    Internally the multipliers are rescaled by their common denominator so
-    row combination runs in plain integer arithmetic — the same exact
-    values (the scale divides out of the returned bound), much cheaper
-    than per-coordinate :class:`~fractions.Fraction` operations.
     """
-    num_vars = len(objective)
-    scale = 1
-    for mult in y_eq.values():
-        den = mult.denominator
-        scale = scale * den // gcd(scale, den)
-    for mult in y_ub.values():
-        den = mult.denominator
-        scale = scale * den // gcd(scale, den)
-    combined = [0] * num_vars          # scaled by ``scale``
-    bound = 0                          # scaled by ``scale``
-    for row, mult in y_eq.items():
-        if not 0 <= row < len(eq_rows):
-            return None
-        if mult == 0:
-            continue
-        m = mult.numerator * (scale // mult.denominator)
-        coeffs, rhs = eq_rows[row]
-        for j in range(num_vars):
-            if coeffs[j]:
-                combined[j] += m * coeffs[j]
-        bound += m * rhs
-    for row, mult in y_ub.items():
-        if not 0 <= row < len(ub_rows):
-            return None
-        if mult < 0:
-            return None
-        if mult == 0:
-            continue
-        m = mult.numerator * (scale // mult.denominator)
-        coeffs, rhs = ub_rows[row]
-        for j in range(num_vars):
-            if coeffs[j]:
-                combined[j] += m * coeffs[j]
-        bound += m * rhs
-    for j in range(num_vars):
-        if combined[j] < objective[j] * scale:
-            return None
+    combination = combine_rows(len(objective), eq_rows, ub_rows, y_eq, y_ub)
+    if combination is None:
+        return None
+    combined, bound, scale = combination
+    if any(total < c * scale for total, c in zip(combined, objective)):
+        return None
     return Fraction(bound, scale)
 
 
@@ -182,7 +184,6 @@ def verify_certificate(
         return False
     relaxation = build_relaxation(context)
     net = relaxation.net
-    eq_rows = relaxation.eq_rows
     ub_rows = relaxation.canonical_inequalities
     index = {net.place_name(p): p for p in range(net.num_places)}
     needed: set = {
@@ -197,7 +198,7 @@ def verify_certificate(
             return False
         objective = relaxation.diff_objective(place, bound.sign)
         value = check_dual_bound(
-            objective, eq_rows, ub_rows, bound.y_eq, bound.y_ub
+            objective, relaxation.eq_rows, ub_rows, bound.y_eq, bound.y_ub
         )
         if value is None or value >= 1:
             return False

@@ -10,10 +10,10 @@ two-block shape solvers and certificates share:
   ``2n`` box rows ``x_j <= 1`` (so ``box_offset + j`` addresses variable
   ``j``'s box row).
 
-Certificates reference rows by index into these blocks, so the order is a
-compatibility contract with :mod:`repro.refine.certificate`.  The system
-never changes after :func:`build_relaxation`, so every derived view is
-built once, on first use.
+Each row is stored once, as its sparse support; the solvers and the exact
+certificate arithmetic all read that one form.  Certificates reference
+rows by index into these blocks, so the order is a compatibility contract
+with :mod:`repro.refine.certificate`.
 """
 
 from __future__ import annotations
@@ -28,15 +28,8 @@ from repro.core.context import SolverContext
 from repro.core.prescreen import _flow_matrix, nested_pair_rows
 from repro.petri.net import PetriNet
 
-#: ``(coefficients over 2n variables, right-hand side)``.
-Row = Tuple[List[int], int]
-
 #: ``([(column, coefficient), ...], right-hand side)`` — a row's support.
-SparseRow = Tuple[List[Tuple[int, int]], int]
-
-
-def _sparse(rows: List[Row]) -> List[SparseRow]:
-    return [([(j, c) for j, c in enumerate(coeffs) if c], rhs) for coeffs, rhs in rows]
+Row = Tuple[List[Tuple[int, int]], int]
 
 
 @dataclass
@@ -57,25 +50,7 @@ class Relaxation:
     @cached_property
     def canonical_inequalities(self) -> List[Row]:
         """The ``<=`` rows, then the box rows — certificate order."""
-        n2 = 2 * self.num_vars
-        box: List[Row] = []
-        for j in range(n2):
-            coeffs = [0] * n2
-            coeffs[j] = 1
-            box.append((coeffs, 1))
-        return self.ub_rows + box
-
-    @cached_property
-    def sparse_eq_rows(self) -> List[SparseRow]:
-        """Equality rows by support — certification combines rows over
-        their non-zero columns, not all ``2n``."""
-        return _sparse(self.eq_rows)
-
-    @cached_property
-    def sparse_ub_rows(self) -> List[SparseRow]:
-        """Non-box ``<=`` rows by support (the box rows are implicit:
-        canonical ``box_offset + j`` is the singleton row ``x_j <= 1``)."""
-        return _sparse(self.ub_rows)
+        return self.ub_rows + [([(j, 1)], 1) for j in range(2 * self.num_vars)]
 
     def diff_objective(self, place: int, sign: int) -> List[int]:
         """Maximise ``sign * (flow_p · x'' - flow_p · x')``."""
@@ -91,13 +66,9 @@ def build_relaxation(context: SolverContext) -> Relaxation:
     eq_rows: List[Row] = []
     ub_rows: List[Row] = []
     for coeffs, sense, rhs in nested_pair_rows(context):
-        row = [int(c) for c in coeffs]
-        if sense == "==":
-            eq_rows.append((row, int(rhs)))
-        elif sense == "<=":
-            ub_rows.append((row, int(rhs)))
-        else:  # ">=": negate into <= form
-            ub_rows.append(([-c for c in row], -int(rhs)))
+        flip = -1 if sense == ">=" else 1  # ">=" rows are negated into <= form
+        support = [(j, flip * int(c)) for j, c in enumerate(coeffs) if c]
+        (eq_rows if sense == "==" else ub_rows).append((support, flip * int(rhs)))
     return Relaxation(
         num_vars=context.num_vars,
         net=context.prefix.net,

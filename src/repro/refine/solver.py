@@ -28,27 +28,25 @@ Backends
   arrays built once; the degradation path when the private HiGHS bindings
   are absent.
 
-Both return the same :class:`SolveResult` shape — float duals keyed by the
-*canonical* row indices of :mod:`repro.refine.relaxation`, which is what
-the exact certification step consumes.  :func:`make_sweep_solver` picks
-the best available backend, or ``None`` when scipy is missing entirely
-(the sweep then degrades to its ``scipy-unavailable`` outcome).
+Both read the relaxation's sparse rows (HiGHS as its row-wise matrix,
+``linprog`` densified once) and return the same :class:`SolveResult`
+shape — float duals keyed by the *canonical* row indices of
+:mod:`repro.refine.relaxation` and signed the way the certificate reads
+them, which is what the exact certification step consumes.
+:func:`make_sweep_solver` picks the best available backend, or ``None``
+when scipy is missing entirely (the sweep then degrades to its
+``scipy-unavailable`` outcome).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional, Sequence, Tuple
+from typing import Any, Dict, List, Optional, Sequence
 
-from repro.refine.relaxation import Relaxation
+from repro.refine.relaxation import Relaxation, Row
 
 BACKEND_HIGHS = "highs"
 BACKEND_LINPROG = "linprog"
-
-#: ``(kind, canonical_index, coefficients, lower, upper)`` of one model row.
-_ModelRow = Tuple[str, int, List[int], float, float]
-
-_INF = float("inf")
 
 
 @dataclass
@@ -56,28 +54,28 @@ class SolveResult:
     """One objective's float solve: optimum and sparse duals.
 
     Duals are keyed by the canonical row indices of the relaxation —
-    ``eq_duals`` by equality-block index, ``ub_duals`` by
-    :attr:`~repro.refine.relaxation.Relaxation.canonical_inequalities`
-    index, ``box_duals`` by variable (the ``x_j <= 1`` rows) — so the
-    exact certification step is backend-agnostic.  Dual *signs* are
-    whatever the backend produced; certification tries both conventions.
+    ``eq_duals`` by equality-block index, ``ub_duals`` by ``<=``-block
+    index (the box rows carry none: certification derives their
+    multipliers exactly) — and signed as weak-duality multipliers of the
+    maximisation, ``c·x <= y_eq·b_eq + y_ub·b_ub`` with ``y_ub >= 0`` up to
+    float noise, so the exact certification step is backend-agnostic.
     """
 
     success: bool
     optimum: float = 0.0
     eq_duals: Dict[int, float] = field(default_factory=dict)
     ub_duals: Dict[int, float] = field(default_factory=dict)
-    box_duals: Dict[int, float] = field(default_factory=dict)
 
 
-def _model_rows(relaxation: Relaxation) -> List[_ModelRow]:
-    """The model's rows: equality block, then ``<=`` block."""
-    rows: List[_ModelRow] = []
-    for i, (coeffs, rhs) in enumerate(relaxation.eq_rows):
-        rows.append(("eq", i, coeffs, float(rhs), float(rhs)))
-    for r, (coeffs, rhs) in enumerate(relaxation.ub_rows):
-        rows.append(("ub", r, coeffs, -_INF, float(rhs)))
-    return rows
+def _dense(rows: List[Row], ncols: int) -> Any:
+    """``rows`` as a dense ``len(rows) x ncols`` coefficient array."""
+    import numpy as np
+
+    matrix = np.zeros((len(rows), ncols), dtype=np.float64)
+    for r, (support, _) in enumerate(rows):
+        for j, c in support:
+            matrix[r, j] = c
+    return matrix
 
 
 class HighsSweepSolver:
@@ -89,14 +87,14 @@ class HighsSweepSolver:
         self._core = core
         self.relaxation = relaxation
         self.incremental = incremental
-        self._rows = _model_rows(relaxation)
         self._highs: Any = self._build_model() if incremental else None
 
     def _build_model(self) -> Any:
         import numpy as np
 
         core = self._core
-        rows = self._rows
+        eq_rows = self.relaxation.eq_rows
+        rows = eq_rows + self.relaxation.ub_rows
         ncols = 2 * self.relaxation.num_vars
         lp = core.HighsLp()
         lp.num_col_ = ncols
@@ -104,17 +102,19 @@ class HighsSweepSolver:
         lp.col_cost_ = np.zeros(ncols, dtype=np.float64)
         lp.col_lower_ = np.zeros(ncols, dtype=np.float64)
         lp.col_upper_ = np.ones(ncols, dtype=np.float64)
-        lp.row_lower_ = np.array([low for _, _, _, low, _ in rows], dtype=np.float64)
-        lp.row_upper_ = np.array([up for _, _, _, _, up in rows], dtype=np.float64)
+        upper = np.array([rhs for _, rhs in rows], dtype=np.float64)
+        lower = upper.copy()
+        lower[len(eq_rows):] = -np.inf  # equality rows are pinned from below
+        lp.row_lower_ = lower
+        lp.row_upper_ = upper
         lp.sense_ = core.ObjSense.kMaximize
         starts: List[int] = [0]
         indices: List[int] = []
         values: List[float] = []
-        for _, _, coeffs, _, _ in rows:
-            for j, c in enumerate(coeffs):
-                if c:
-                    indices.append(j)
-                    values.append(float(c))
+        for support, _ in rows:
+            for j, c in support:
+                indices.append(j)
+                values.append(float(c))
             starts.append(len(indices))
         matrix = core.HighsSparseMatrix()
         matrix.format_ = core.MatrixFormat.kRowwise
@@ -150,22 +150,19 @@ class HighsSweepSolver:
             or highs.getModelStatus() != core.HighsModelStatus.kOptimal
         ):
             return SolveResult(success=False)
-        solution = highs.getSolution()
         result = SolveResult(
             success=True,
             optimum=float(highs.getInfo().objective_function_value),
         )
-        for (kind, canonical, _, _, _), dual in zip(self._rows, solution.row_dual):
+        # a maximising HiGHS model reports row duals already signed as
+        # weak-duality multipliers
+        num_eq = len(self.relaxation.eq_rows)
+        for row, dual in enumerate(highs.getSolution().row_dual):
             if dual:
-                target = result.eq_duals if kind == "eq" else result.ub_duals
-                target[canonical] = float(dual)
-        # col_dual mixes both bounds' reduced costs; only variables at the
-        # UPPER bound carry a multiplier for their box row x_j <= 1 (a
-        # lower-bound reduced cost belongs to x_j >= 0, which weak duality
-        # absorbs as slack) — mirror linprog's ``upper.marginals`` split
-        for var, dual in enumerate(solution.col_dual):
-            if dual and solution.col_value[var] > 0.5:
-                result.box_duals[var] = float(dual)
+                if row < num_eq:
+                    result.eq_duals[row] = float(dual)
+                else:
+                    result.ub_duals[row - num_eq] = float(dual)
         return result
 
 
@@ -184,15 +181,16 @@ class LinprogSweepSolver:
 
         self._linprog = linprog
         self.relaxation = relaxation
+        ncols = 2 * relaxation.num_vars
         ub_rows = relaxation.ub_rows
-        self._a_ub = np.array([c for c, _ in ub_rows], dtype=float)
-        self._b_ub = np.array([b for _, b in ub_rows], dtype=float)
+        self._a_ub = _dense(ub_rows, ncols)
+        self._b_ub = np.array([rhs for _, rhs in ub_rows], dtype=np.float64)
         eq_rows = relaxation.eq_rows
-        self._a_eq = (
-            np.array([c for c, _ in eq_rows], dtype=float) if eq_rows else None
-        )
+        self._a_eq = _dense(eq_rows, ncols) if eq_rows else None
         self._b_eq = (
-            np.array([b for _, b in eq_rows], dtype=float) if eq_rows else None
+            np.array([rhs for _, rhs in eq_rows], dtype=np.float64)
+            if eq_rows
+            else None
         )
 
     def solve(self, objective: Sequence[int]) -> SolveResult:
@@ -211,16 +209,15 @@ class LinprogSweepSolver:
         if not outcome.success:
             return SolveResult(success=False)
         result = SolveResult(success=True, optimum=-float(outcome.fun))
-        if self.relaxation.eq_rows:
+        # linprog minimises -c·x, so its marginals are the negated
+        # weak-duality multipliers of the maximisation
+        if self._a_eq is not None:
             for row, dual in enumerate(outcome.eqlin.marginals):
                 if dual:
-                    result.eq_duals[row] = float(dual)
+                    result.eq_duals[row] = -float(dual)
         for row, dual in enumerate(outcome.ineqlin.marginals):
             if dual:
-                result.ub_duals[row] = float(dual)
-        for var, dual in enumerate(outcome.upper.marginals):
-            if dual:
-                result.box_duals[var] = float(dual)
+                result.ub_duals[row] = -float(dual)
         return result
 
 

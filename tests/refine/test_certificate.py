@@ -25,8 +25,8 @@ from repro.refine import (
 from repro.unfolding import unfold
 
 
-@pytest.fixture(scope="module")
-def refutation():
+@pytest.fixture(scope="class")
+def refutation(sweep_backend):
     """A real refutation: context + verified certificate for CF-SYM-A-CSC."""
     pytest.importorskip("scipy")
     context = SolverContext(unfold(TABLE1_BENCHMARKS["CF-SYM-A-CSC"]()))
@@ -108,9 +108,17 @@ class TestTampering:
         assert not verify_certificate(context, forged)
 
 
+class TestGenuineCertificateOnLinprog(TestGenuineCertificate):
+    backend = "linprog"
+
+
+class TestTamperingOnLinprog(TestTampering):
+    backend = "linprog"
+
+
 class TestCheckDualBound:
     # maximise x0 subject to x0 + x1 == 1/2, x >= 0
-    EQ = [([1, 1], Fraction(1, 2))]
+    EQ = [([(0, 1), (1, 1)], Fraction(1, 2))]
 
     def test_valid_witness_returns_bound(self):
         bound = check_dual_bound([1, 0], self.EQ, [], {0: Fraction(1)}, {})
@@ -120,7 +128,7 @@ class TestCheckDualBound:
         assert check_dual_bound([1, 0], self.EQ, [], {}, {}) is None
 
     def test_negative_inequality_multiplier_fails(self):
-        ub = [([1, 0], 1)]
+        ub = [([(0, 1)], 1)]
         assert (
             check_dual_bound([1, 0], [], ub, {}, {0: Fraction(-1)}) is None
         )

@@ -68,3 +68,24 @@ def test_conflicting_model_still_finds_its_witness():
     report = check_usc(stg, use_refinement=True)
     assert not report.holds
     assert report.witness is not None
+
+
+class TestOnLinprog:
+    """The same parity with the sweep on the ``linprog`` backend."""
+
+    backend = "linprog"
+
+    @pytest.mark.parametrize("name", FAST_MODELS)
+    def test_usc_verdicts_identical(self, name, sweep_backend):
+        test_usc_verdicts_identical(name)
+
+    @pytest.mark.parametrize("name", FAST_MODELS)
+    def test_csc_verdicts_identical(self, name, sweep_backend):
+        test_csc_verdicts_identical(name)
+
+    @pytest.mark.parametrize("name", ["CF-SYM-A-CSC", "CF-SYM-B-CSC"])
+    def test_refutation_skips_the_search_entirely(self, name, sweep_backend):
+        test_refutation_skips_the_search_entirely(name)
+
+    def test_conflicting_model_still_finds_its_witness(self, sweep_backend):
+        test_conflicting_model_still_finds_its_witness()

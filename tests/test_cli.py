@@ -98,6 +98,25 @@ class TestCheck:
         assert main(["check", vme_file, "--portfolio", "cplex"]) == 2
         assert "unknown engine" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("method", ["bdd", "sat"])
+    def test_normalcy_method_without_normalcy_support(
+        self, vme_csc_file, method, capsys
+    ):
+        # answers like --portfolio with the same engine, never with the
+        # explicit state graph in its place
+        assert main(["check", vme_csc_file, "-p", "normalcy", "-m", method]) == 2
+        captured = capsys.readouterr()
+        assert "normalcy: ERROR" in captured.out
+        message = f"engine {method!r} does not support property 'normalcy'"
+        assert message in captured.err
+        portfolio = ["check", vme_csc_file, "-p", "normalcy", "--portfolio", method]
+        assert main(portfolio) == 2
+        assert message in capsys.readouterr().err
+
+    def test_normalcy_profile_refuses_bdd(self, vme_csc_file, capsys):
+        assert main(["profile", vme_csc_file, "-p", "normalcy", "-m", "bdd"]) == 2
+        assert "does not support property 'normalcy'" in capsys.readouterr().err
+
     def test_global_verbose_flag(self, vme_file, capsys):
         # -v before the subcommand configures logging; verdict unchanged
         assert main(["-v", "check", vme_file]) == 1
